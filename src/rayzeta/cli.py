@@ -1,10 +1,10 @@
 """Batch front end: subcommands for single-field zeta values, family
-analysis, L-value assembly, and the verification suite.
+analysis, L-value assembly, and the verification suite (`rayzeta.verify`).
 
 Reports are deterministic: JSON output has sorted keys and every exact
 rational is serialized as a "num/den" string; floating-point renderings are
-explicitly tagged as approximate.  Exit codes: 0 ok, 2 config error,
-3 hypothesis violation, 4 internal verification failure.
+explicitly tagged as approximate.  Exit codes: 0 ok, 2 config error or
+resource limit, 3 hypothesis violation, 4 internal verification failure.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ import argparse
 import csv
 import io
 import json
-import os
-import random
 import sys
-import time
 from fractions import Fraction
 
 from .contfrac import ConversionMismatchError, NotReducedError
@@ -26,31 +23,23 @@ from .family import (
     HypothesisError,
     NonSquarefreeSkip,
     PRESETS,
-    QuasiPoly,
     VerificationError,
+    denom_bounds_ok,
     first_instances,
     fit_oracle,
     instantiate,
     k_to_n_form,
-    n_to_k_form,
-    norm_invariance_check,
-    poly_eval,
     quasi_poly,
-    sample_ks,
 )
-from .hecke import CharacterError, DirichletChar, hecke_L0, hecke_L0_family, orbit_representatives
-from .quadfield import is_squarefree, unit_index_lambda
+from .hecke import CharacterError, DirichletChar, hecke_L0_family
 from .shintani import (
     InternalCheckError,
     LabelError,
+    LimitError,
     RayLabel,
-    boundary_points,
-    eps_act,
     f_delta,
     orbit,
     partial_zeta0,
-    xy_direct,
-    yamamoto_xy,
 )
 
 EXIT_OK = 0
@@ -134,9 +123,11 @@ def parse_char(text: str, q: int) -> DirichletChar:
         raise ConfigError(str(e)) from None
 
 
+# Config keys and their JSON types, the same as the matching flags take.
 CONFIG_KEYS = {
-    "preset", "f_poly", "a_polys", "q", "n", "k_range", "label", "char",
-    "out", "format", "criterion", "n_max",
+    "preset": str, "f_poly": str, "a_polys": str, "q": int, "n": int,
+    "k_range": str, "label": str, "char": str, "out": str, "format": str,
+    "criterion": str, "n_max": int,
 }
 
 
@@ -149,9 +140,15 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(doc) - CONFIG_KEYS
+    unknown = set(doc) - CONFIG_KEYS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        if type(value) is not CONFIG_KEYS[key]:  # exact type: rejects bool for int
+            raise ConfigError(
+                f"config key {key!r} must be {CONFIG_KEYS[key].__name__}, "
+                f"got {type(value).__name__}"
+            )
     return doc
 
 
@@ -178,8 +175,8 @@ def family_from_args(args) -> FamilySpec:
         return PRESETS[args.preset].with_q(q)
     if args.f_poly is None or args.a_polys is None:
         raise ConfigError("need --preset, or both --f-poly and --a-polys")
-    f = args.f_poly if isinstance(args.f_poly, tuple) else parse_poly(args.f_poly)
-    a = args.a_polys if isinstance(args.a_polys, tuple) else parse_a_polys(args.a_polys)
+    f = parse_poly(args.f_poly)
+    a = parse_a_polys(args.a_polys)
     try:
         return FamilySpec("inline", f, a, q, (0, 10**6))
     except ValueError as e:
@@ -226,8 +223,11 @@ def render_csv(report: dict) -> str:
 def emit(report: dict, args) -> None:
     text = render_csv(report) if args.format == "csv" else render_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write {args.out}: {e}") from None
     else:
         sys.stdout.write(text)
 
@@ -278,19 +278,6 @@ def cmd_zeta(args) -> int:
         })
     emit(report, args)
     return EXIT_OK
-
-
-def denom_bounds_ok(qp: QuasiPoly, r: int) -> bool:
-    """12 q^2 B^i integral in k-form; 12 q^{i+2} A_i integral in n-form."""
-    q = qp.q
-    for i in range(qp.degree + 1):
-        if (12 * q * q * qp.coeff(r, i)).denominator != 1:
-            return False
-    nform = k_to_n_form(qp)
-    for i in range(qp.degree + 1):
-        if (12 * q ** (i + 2) * nform.coeff(r, i)).denominator != 1:
-            return False
-    return True
 
 
 def cmd_family(args) -> int:
@@ -386,319 +373,10 @@ def cmd_lfunc(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verification suite
-
-
-def _usable_ns(spec: FamilySpec, n_max: int) -> list[int]:
-    out = []
-    for n in range(spec.n_range[0], n_max + 1):
-        fn = poly_eval(spec.f_poly, n)
-        if fn > 1 and is_squarefree(fn):
-            out.append(n)
-    return out
-
-
-def check_structure_rd(n_max: int = 20) -> dict:
-    """Degree-2 family: plus CF terms (2n, n), unit n^2+1+n*sqrt(n^2+2)."""
-    spec = PRESETS["rd-n2p2"]
-    checked = 0
-    for n in _usable_ns(spec, n_max):
-        inst = instantiate(spec, n)
-        field = inst.ctx.basis.delta.field
-        if inst.cf.terms != (2 * n, n):
-            return {"passed": False, "detail": f"CF terms wrong at n={n}"}
-        if inst.ctx.eps != field.elem(n * n + 1, n):
-            return {"passed": False, "detail": f"unit wrong at n={n}"}
-        checked += 1
-    return {"passed": True, "checked": checked}
-
-
-def check_structure_quartic(n_max: int = 12) -> dict:
-    """Degree-4 family: plus CF terms (8n^2+8n+2, 2n+1), unit (2n+1)^3+1+(2n+1)*sqrt(f)."""
-    spec = PRESETS["quartic-16n4"]
-    checked = 0
-    for n in _usable_ns(spec, n_max):
-        inst = instantiate(spec, n)
-        field = inst.ctx.basis.delta.field
-        t = 2 * n + 1
-        if inst.cf.terms != (8 * n * n + 8 * n + 2, t):
-            return {"passed": False, "detail": f"CF terms wrong at n={n}"}
-        if inst.ctx.eps != field.elem(t**3 + 1, t):
-            return {"passed": False, "detail": f"unit wrong at n={n}"}
-        checked += 1
-    return {"passed": True, "checked": checked}
-
-
-def check_yamamoto_vs_direct(n_max: int = 12, qs=(2, 3, 5)) -> dict:
-    """Recursion equals the direct lattice solve at every index 0..lambda*m."""
-    checked = 0
-    for name in sorted(PRESETS):
-        for q in qs:
-            spec = PRESETS[name].with_q(q)
-            for n in _usable_ns(spec, n_max):
-                inst = instantiate(spec, n)
-                ctx = inst.ctx
-                total = ctx.lam * ctx.mcf.m
-                bps = boundary_points(ctx.basis, ctx.mcf, total + 1)
-                for lab in f_delta(ctx):
-                    seq = yamamoto_xy(lab, ctx.mcf, total)
-                    for i in range(total + 1):
-                        x, y = xy_direct(lab, i, bps, ctx.basis)
-                        if (x, y) != (seq.xs[i], seq.ys[i]):
-                            return {
-                                "passed": False,
-                                "detail": f"{name} q={q} n={n} "
-                                          f"({lab.C},{lab.D}) index {i}",
-                            }
-                        checked += 1
-    return {"passed": True, "checked": checked}
-
-
-def _orbit_step_rd(lab: RayLabel, n: int) -> tuple[int, int]:
-    q = lab.q
-    return (
-        residue_zero(lab.C * (1 - n) + lab.D * (n - 2 * n * n), q),
-        residue_zero(lab.C * n + lab.D * (2 * n * n + n + 1), q),
-    )
-
-
-def _orbit_step_quartic(lab: RayLabel, n: int) -> tuple[int, int]:
-    q = lab.q
-    return (
-        residue_zero(-2 * n * lab.C - (16 * n**3 + 16 * n**2 + 6 * n + 1) * lab.D, q),
-        residue_zero(
-            (2 * n + 1) * lab.C + (16 * n**3 + 24 * n**2 + 14 * n + 4) * lab.D, q
-        ),
-    )
-
-
-def check_orbit_recursions(n_max: int = 12, qs=(2, 3, 5)) -> dict:
-    """Unit action matches the per-family explicit label recursions; orbit
-    length equals the unit index; orbits at n and n+q coincide."""
-    steps = {"rd-n2p2": _orbit_step_rd, "quartic-16n4": _orbit_step_quartic}
-    checked = 0
-    for name in sorted(PRESETS):
-        step = steps[name]
-        for q in qs:
-            spec = PRESETS[name].with_q(q)
-            usable = set(_usable_ns(spec, n_max + q))
-            for n in sorted(usable):
-                if n > n_max:
-                    break
-                inst = instantiate(spec, n)
-                ctx = inst.ctx
-                for lab in f_delta(ctx):
-                    img = eps_act(ctx.eps, lab, ctx.basis)
-                    if (img.C, img.D) != step(lab, n):
-                        return {
-                            "passed": False,
-                            "detail": f"{name} q={q} n={n} label ({lab.C},{lab.D})",
-                        }
-                    orb = orbit(lab, ctx)
-                    if len(orb) != unit_index_lambda(ctx.eps, q, ctx.basis):
-                        return {
-                            "passed": False,
-                            "detail": f"orbit length mismatch {name} q={q} n={n}",
-                        }
-                    if n + q in usable:
-                        ctx2 = instantiate(spec, n + q).ctx
-                        orb2 = orbit(RayLabel(lab.C, lab.D, q), ctx2)
-                        if [(o.C, o.D) for o in orb] != [(o.C, o.D) for o in orb2]:
-                            return {
-                                "passed": False,
-                                "detail": f"orbit changed {name} q={q} n={n}->{n + q}",
-                            }
-                    checked += 1
-    return {"passed": True, "checked": checked}
-
-
-def check_quasi_polynomials(qs=(2, 3, 5), k_max: int = 6) -> dict:
-    """Closed-form coefficients equal the exact interpolation oracle."""
-    anchor_ctx = instantiate(PRESETS["rd-n2p2"].with_q(2), 1).ctx
-    if anchor_ctx.basis.delta.field.Delta != 3:
-        return {"passed": False, "detail": "anchor field is not Q(sqrt(3))"}
-    if partial_zeta0(anchor_ctx, RayLabel(1, 0, 2)) != Fraction(1, 6):
-        return {"passed": False, "detail": "anchor zeta value is not 1/6"}
-    checked = 1
-    for name in sorted(PRESETS):
-        for q in qs:
-            spec = PRESETS[name].with_q(q)
-            for r in range(q):
-                usable, _ = sample_ks(spec, r, range(k_max + 1))
-                if len(usable) < spec.d + 2:
-                    continue
-                labels = f_delta(first_instances(spec, r, 1)[0].ctx)
-                for lab in labels:
-                    qp = quasi_poly(spec, lab, r)
-                    fit = fit_oracle(spec, lab, r, range(k_max + 1))
-                    closed = tuple(qp.coeff(r, i) for i in range(spec.d + 1))
-                    if not fit.consistent or closed != fit.coeffs:
-                        return {
-                            "passed": False,
-                            "detail": f"{name} q={q} r={r} ({lab.C},{lab.D})",
-                        }
-                    checked += 1
-    return {"passed": True, "checked": checked}
-
-
-def check_denominator_bounds(qs=(2, 3, 5)) -> dict:
-    """12 q^2 B^i and 12 q^{i+2} A_i are integers for all computed coefficients."""
-    checked = 0
-    for name in sorted(PRESETS):
-        for q in qs:
-            spec = PRESETS[name].with_q(q)
-            for r in range(q):
-                usable, _ = sample_ks(spec, r, range(7))
-                if len(usable) < spec.d + 2:
-                    continue
-                labels = f_delta(first_instances(spec, r, 1)[0].ctx)
-                for lab in labels:
-                    qp = quasi_poly(spec, lab, r)
-                    if not denom_bounds_ok(qp, r):
-                        return {
-                            "passed": False,
-                            "detail": f"{name} q={q} r={r} ({lab.C},{lab.D})",
-                        }
-                    checked += 1
-    return {"passed": True, "checked": checked}
-
-
-def check_form_round_trip(count: int = 100, seed: int = 20260826) -> dict:
-    """k-form <-> n-form conversions agree pointwise and invert each other."""
-    rng = random.Random(seed)
-    checked = 0
-    for _ in range(count):
-        q = rng.randint(2, 7)
-        degree = rng.randint(0, 3)
-        coeffs = {
-            (r, i): Fraction(rng.randint(-99, 99), rng.randint(1, 99))
-            for r in range(q)
-            for i in range(degree + 1)
-        }
-        p = QuasiPoly(q, degree, "k", coeffs)
-        nform = k_to_n_form(p)
-        back = n_to_k_form(nform)
-        for n in range(4 * q):
-            if p.evaluate(n) != nform.evaluate(n):
-                return {"passed": False, "detail": f"pointwise mismatch at n={n}"}
-        for key, c in coeffs.items():
-            if back.coeff(*key) != c:
-                return {"passed": False, "detail": f"round trip broke at {key}"}
-        checked += 1
-    return {"passed": True, "checked": checked}
-
-
-def check_l_assembly() -> dict:
-    """Trivial character reduces to a sum of partial zetas; an order-4
-    character mod 5 interpolates direct L-values with bounded denominators."""
-    checked = 0
-    for name in sorted(PRESETS):
-        spec = PRESETS[name].with_q(2)
-        ctx = first_instances(spec, 1, 1)[0].ctx
-        triv = DirichletChar.trivial(2)
-        got = hecke_L0(ctx, triv).as_dict()
-        want = sum(
-            (partial_zeta0(ctx, rep) for rep in orbit_representatives(ctx)),
-            Fraction(0),
-        )
-        if got != ({1: want} if want else {}):
-            return {"passed": False, "detail": f"trivial character on {name}"}
-        checked += 1
-
-    spec = PRESETS["rd-n2p2"].with_q(5)
-    chi = DirichletChar.from_generators(5, 4, {2: 1})
-    lqp = hecke_L0_family(spec, chi)
-    for r in range(5):
-        ns = [inst.n for inst in first_instances(spec, r, spec.d + 2)]
-        for n in ns:
-            direct = hecke_L0(instantiate(spec, n).ctx, chi)
-            if lqp.evaluate(n) != direct:
-                return {"passed": False, "detail": f"L-value mismatch at n={n}"}
-            checked += 1
-        for sym in (1, 2, 3, 4):
-            per_symbol = QuasiPoly(
-                5,
-                spec.d,
-                "k",
-                {
-                    (r, i): lqp.coeffs[r][i].as_dict().get(sym, Fraction(0))
-                    for i in range(spec.d + 1)
-                },
-            )
-            nform = k_to_n_form(per_symbol)
-            for i in range(spec.d + 1):
-                if (12 * 5 ** (i + 2) * nform.coeff(r, i)).denominator != 1:
-                    return {
-                        "passed": False,
-                        "detail": f"denominator bound broken at r={r} chi^{sym}",
-                    }
-                checked += 1
-    return {"passed": True, "checked": checked}
-
-
-def check_hypothesis_tripwires() -> dict:
-    """Norm invariance holds on the shipped families; an uncertifiable inline
-    family makes the family command exit with the hypothesis-violation code."""
-    checked = 0
-    for name in sorted(PRESETS):
-        for q in (2, 3, 4, 5):
-            spec = PRESETS[name].with_q(q)
-            ctx = first_instances(spec, spec.n_range[0] % q, 1)[0].ctx
-            for lab in f_delta(ctx):
-                for r in range(q):
-                    if not norm_invariance_check(spec, lab, r):
-                        return {
-                            "passed": False,
-                            "detail": f"{name} q={q} r={r} ({lab.C},{lab.D})",
-                        }
-                    checked += 1
-    # f(n) = 4(n+1)^2 is never squarefree, so no instance can be built and
-    # the invariance check cannot be certified.
-    code = main([
-        "family", "--f-poly", "4,8,4", "--a-polys", "0,2;0,1", "--q", "2",
-        "--out", os.devnull,
-    ])
-    if code != EXIT_HYPOTHESIS:
-        return {"passed": False, "detail": f"expected exit 3, got {code}"}
-    checked += 1
-    return {"passed": True, "checked": checked}
-
-
-CRITERIA = {
-    "A1": ("degree-2 family structure (CF terms and fundamental unit)",
-           check_structure_rd),
-    "A2": ("degree-4 family structure (CF terms and fundamental unit)",
-           check_structure_quartic),
-    "A3": ("recursion vs direct lattice coordinates", check_yamamoto_vs_direct),
-    "A4": ("unit-action orbit recursions and orbit stability",
-           check_orbit_recursions),
-    "A5": ("closed quasi-polynomials equal the interpolation oracle",
-           check_quasi_polynomials),
-    "A6": ("denominator bounds on all coefficients", check_denominator_bounds),
-    "A7": ("k-form/n-form round trip", check_form_round_trip),
-    "A8": ("L-value assembly and interpolation", check_l_assembly),
-    "A9": ("hypothesis tripwires", check_hypothesis_tripwires),
-}
-
-
-def run_criterion(name: str, **overrides) -> dict:
-    description, fn = CRITERIA[name]
-    kwargs = {}
-    for key, value in overrides.items():
-        if value is not None and key in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
-            kwargs[key] = value
-    start = time.perf_counter()
-    result = fn(**kwargs)
-    result.update(
-        criterion=name,
-        description=description,
-        seconds=round(time.perf_counter() - start, 3),
-    )
-    return result
-
-
 def cmd_verify(args) -> int:
+    # Imported here so that the other subcommands never load the suite.
+    from .verify import CRITERIA, run_criterion
+
     names = sorted(CRITERIA)
     if args.criterion:
         names = [c.strip() for c in args.criterion.split(",")]
@@ -707,6 +385,8 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"unknown criteria {unknown}; available: {sorted(CRITERIA)}")
     overrides = {}
     if args.q is not None:
+        if args.q < 2:
+            raise ConfigError("q must be >= 2")
         overrides["qs"] = (args.q,)
     if args.n_max is not None:
         overrides["n_max"] = args.n_max
@@ -780,7 +460,7 @@ def main(argv=None) -> int:
     try:
         args = merge_config(args)
         return COMMANDS[args.command](args)
-    except (ConfigError, CharacterError, LabelError, NotReducedError) as e:
+    except (ConfigError, CharacterError, LabelError, NotReducedError, LimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (HypothesisError, NonSquarefreeSkip) as e:

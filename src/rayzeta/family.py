@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
-from .contfrac import PeriodicCF, cf_value, pair_count, plus_to_minus
-from .exactmath import bernoulli1, bernoulli2, frac_unit, residue_one, residue_zero
+from .contfrac import PeriodicCF, cf_value, pair_count
+from .exactmath import bernoulli1, bernoulli2, frac_unit, kernel_F, residue_one, residue_zero
 from .quadfield import ModuleBasis, is_squarefree
 from .shintani import ConeContext, RayLabel, orbit, partial_zeta0
 
@@ -115,7 +115,7 @@ class FieldInstance:
         return self.n // self.spec.q
 
 
-def instantiate(spec: FamilySpec, n: int, max_terms: int | None = None) -> FieldInstance:
+def instantiate(spec: FamilySpec, n: int) -> FieldInstance:
     """Build the field K_n = Q(sqrt(f(n))) with delta(n) = 1 + [[a_0(n),...]].
 
     Raises NonSquarefreeSkip if f(n) is not squarefree and HypothesisError
@@ -139,25 +139,27 @@ def instantiate(spec: FamilySpec, n: int, max_terms: int | None = None) -> Field
     if not (delta > delta.field.elem(2)):
         raise HypothesisError(f"delta({n}) <= 2; family hypothesis violated")
     basis = ModuleBasis(delta)
-    kwargs = {} if max_terms is None else {"max_terms": max_terms}
-    ctx = ConeContext(basis, spec.q, **kwargs)
+    ctx = ConeContext(basis, spec.q)
     return FieldInstance(spec, n, cf, ctx)
+
+
+def usable(spec: FamilySpec, n: int) -> bool:
+    """True iff n lies in the family's range and f(n) > 1 is squarefree."""
+    if n < spec.n_range[0]:
+        return False
+    fn = poly_eval(spec.f_poly, n)
+    return fn > 1 and is_squarefree(fn)
 
 
 def sample_ks(spec: FamilySpec, r: int, k_values) -> tuple[list[int], list[int]]:
     """Split candidate k values into usable ones (f(qk+r) squarefree) and skipped."""
-    usable, skipped = [], []
+    good, skipped = [], []
     for k in k_values:
-        n = spec.q * k + r
-        if n < spec.n_range[0]:
-            skipped.append(k)
-            continue
-        fn = poly_eval(spec.f_poly, n)
-        if fn > 1 and is_squarefree(fn):
-            usable.append(k)
+        if usable(spec, spec.q * k + r):
+            good.append(k)
         else:
             skipped.append(k)
-    return usable, skipped
+    return good, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +216,6 @@ class ResidueData:
         return self.nus[i + 1]
 
 
-def nu_seq(spec: FamilySpec, label: RayLabel, r: int, length: int) -> list[Fraction]:
-    """nu^{-1}, nu^0, ..., nu^{length} as a flat list (index i at position i+1)."""
-    data = ResidueData(spec, label, r)
-    if length + 2 > len(data.nus):
-        # extend with the periodic c-pattern beyond Gamma_J
-        q = spec.q
-        J = pair_count(spec.s)
-        period = data.Gammas[-1]
-        special = {data.Gammas[j] % period: data.gammas[(2 * j) % len(data.gammas)] + 2
-                   for j in range(J)}
-        nus = list(data.nus)
-        for i in range(period, length):
-            c = special.get(i % period, 2)
-            nus.append(frac_unit(c * nus[-1] - nus[-2]))
-        return nus[: length + 2]
-    return data.nus[: length + 2]
-
-
 def A_im(spec: FamilySpec, i: int, m: int, r: int) -> Fraction:
     """Coefficient of k^m in a_i(qk+r)/q: sum_{j>=m} alpha_{ij} C(j,m) q^{m-1} r^{j-m}."""
     if m < 1:
@@ -256,7 +240,7 @@ def _progression_sum(count: int, d: Fraction, nu_start: Fraction) -> Fraction:
     prev = nu_start
     for _ in range(count):
         cur = frac_unit(prev + d)
-        total += -bernoulli1(cur) * bernoulli1(prev) + bernoulli2(cur)
+        total += kernel_F(cur, prev)
         prev = cur
     return total
 
@@ -360,6 +344,19 @@ def n_to_k_form(p: QuasiPoly) -> QuasiPoly:
                 a += p.coeff(r, i) * comb(i, m) * q**m * r ** (i - m)
             coeffs[(r, m)] = a
     return QuasiPoly(q, d, "k", coeffs)
+
+
+def denom_bounds_ok(qp: QuasiPoly, r: int) -> bool:
+    """12 q^2 B^i integral in k-form; 12 q^{i+2} A_i integral in n-form."""
+    q = qp.q
+    for i in range(qp.degree + 1):
+        if (12 * q * q * qp.coeff(r, i)).denominator != 1:
+            return False
+    nform = k_to_n_form(qp)
+    for i in range(qp.degree + 1):
+        if (12 * q ** (i + 2) * nform.coeff(r, i)).denominator != 1:
+            return False
+    return True
 
 
 def norm_invariance_check(

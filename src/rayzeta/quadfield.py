@@ -90,9 +90,6 @@ class QuadField:
     def elem(self, a, b=0) -> "QuadElem":
         return QuadElem(Fraction(a), Fraction(b), self)
 
-    def sqrt_gen(self) -> "QuadElem":
-        return self.elem(0, 1)
-
 
 @dataclass(frozen=True)
 class QuadElem:

@@ -32,6 +32,10 @@ class InternalCheckError(RuntimeError):
     """Two independent computations of the same quantity disagreed."""
 
 
+class LimitError(RuntimeError):
+    """The series-term cap is exceeded, or RAYZETA_MAX_TERMS is not an integer."""
+
+
 @dataclass(frozen=True)
 class RayLabel:
     """(C, D) with 0 <= C, D <= q-1, labelling the ray class of (C+D*delta)*b."""
@@ -53,14 +57,11 @@ class RayLabel:
 class ConeContext:
     """Everything needed to evaluate partial zeta values on one field.
 
-    b_norm is the norm of the integral ideal b with b^{-1} = [1, delta];
-    only b = O_K (b_norm = 1) is exercised by the shipped families, the
-    general path is experimental.
+    The integral ideal b with b^{-1} = [1, delta] is taken to be O_K.
     """
 
     basis: ModuleBasis
     q: int
-    b_norm: int = 1
     max_terms: int | None = None
     mcf: MinusCF = dc_field(init=False)
     eps: QuadElem = dc_field(init=False)
@@ -68,23 +69,24 @@ class ConeContext:
 
     def __post_init__(self):
         if self.max_terms is None:
-            self.max_terms = int(os.environ.get("RAYZETA_MAX_TERMS", MAX_TERMS_DEFAULT))
+            raw = os.environ.get("RAYZETA_MAX_TERMS", str(MAX_TERMS_DEFAULT))
+            try:
+                self.max_terms = int(raw)
+            except ValueError:
+                raise LimitError(f"RAYZETA_MAX_TERMS={raw!r} is not an integer") from None
         if self.q < 2:
             raise LabelError("q must be >= 2")
-        if gcd(self.b_norm, self.q) != 1:
-            raise LabelError("ideal b must be relatively prime to q")
         self.mcf = minus_cf(self.basis.delta)
         self.eps = fundamental_unit_totally_positive(self.basis)
         self.lam = unit_index_lambda(self.eps, self.q, self.basis)
         if self.lam * self.mcf.m > self.max_terms:
-            raise RuntimeError(
+            raise LimitError(
                 f"lambda*m = {self.lam * self.mcf.m} exceeds cap {self.max_terms}"
             )
 
     def label_norm(self, label: RayLabel) -> int:
         """Norm of the integral ideal (C + D*delta)*b, a positive integer."""
-        elem = label.C + label.D * self.basis.delta
-        n = norm(elem) * self.b_norm
+        n = norm(label.C + label.D * self.basis.delta)
         if n.denominator != 1:
             raise LabelError("(C+D*delta)*b is not integral; basis data malformed")
         return abs(int(n))

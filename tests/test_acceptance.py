@@ -8,7 +8,14 @@ import sys
 
 import pytest
 
-from rayzeta.cli import CRITERIA, run_criterion
+from rayzeta.verify import CRITERIA, run_criterion
+
+# How many comparisons each criterion makes at its defaults; a check that
+# silently stops visiting part of its grid shows here.
+CHECKED = {
+    "A1": 15, "A2": 11, "A3": 25114, "A4": 624, "A5": 257,
+    "A6": 256, "A7": 100, "A8": 57, "A9": 349,
+}
 
 
 @pytest.mark.parametrize("name", sorted(CRITERIA))
@@ -22,3 +29,4 @@ def test_criterion(name):
     print(line)
     print(line, file=sys.stderr)
     assert result["passed"], result.get("detail", name)
+    assert result["checked"] == CHECKED[name]

@@ -1,13 +1,21 @@
 """Tests for the command-line driver: parsing, reports, exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rayzeta
+from rayzeta import verify
 from rayzeta.cli import (
     ConfigError,
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
+    EXIT_INTERNAL,
     EXIT_OK,
     jsonable,
     main,
@@ -109,11 +117,31 @@ def test_uncertifiable_inline_family_exits_with_hypothesis_code(capsys):
     assert report["rows"] == []
 
 
-def test_reports_are_byte_stable(capsys):
-    argv = ["family", "--preset", "rd-n2p2", "--q", "3"]
-    _, first = run(capsys, argv)
-    _, second = run(capsys, argv)
-    assert first == second
+# sha256 of the stdout of each command; any change to a report shows here.
+PINNED_REPORTS = {
+    "zeta --preset rd-n2p2 --q 3 --n 3":
+        "6bea52482e7ebd8d43dabe93f7e0a539870bb198930c5765a09c6fcce6e6e93d",
+    "zeta --preset rd-n2p2 --q 3 --n 4":  # f(4) = 18: the skip path
+        "6ea6d685707d0bb06295eb2401ae3db6698da1635817da6100900e4634d005ad",
+    "zeta --preset quartic-16n4 --q 2 --n 3":
+        "81513111b61dc7198e25a17bdd42d6450122c1567181b2171c9a97e0896eb46d",
+    "family --preset rd-n2p2 --q 3":
+        "7ceffa34c1f3b3346081ec4b3fe7469f8126c85345c01a10bcb8830cbe902fdb",
+    "family --preset quartic-16n4 --q 2 --format csv":
+        "6a356e59591c6375259b2e6d4bb185d4e7e3c6ef479f96e02124954cf8bf10bf",
+    "lfunc --preset rd-n2p2 --q 5 --char 5:4:2=1":
+        "e3f8c9c8a37e5794ee7fc47d2390c4bde4c08016d9a85c3e4f21d33df99c7e34",
+    "lfunc --preset quartic-16n4 --q 3 --char 3:2:2=1":
+        "422597041ad8cd7ec4c750f0981eeedafd37ef9e8d681566373e6135eb5a9ab0",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_REPORTS),
+                         ids=lambda command: command.replace(" ", "_"))
+def test_reports_are_byte_stable(capsys, command):
+    code, out = run(capsys, command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_REPORTS[command]
 
 
 def test_lfunc_trivial_matches_family_totals(capsys):
@@ -203,3 +231,60 @@ def test_verify_single_criterion(capsys):
 def test_verify_unknown_criterion(capsys):
     code, _ = run(capsys, ["verify", "--criterion", "A99"])
     assert code == EXIT_CONFIG
+
+
+def test_verify_reports_a_mismatch_as_failed(capsys, monkeypatch):
+    def broken():
+        raise verify.Mismatch("unit wrong at n=1")
+
+    monkeypatch.setitem(verify.CRITERIA, "A1", ("broken on purpose", broken))
+    code, out = run(capsys, ["verify", "--criterion", "A1"])
+    assert code == EXIT_INTERNAL
+    row = json.loads(out)["rows"][0]
+    assert (row["passed"], row["detail"]) == (False, "unit wrong at n=1")
+    assert "checked" not in row
+
+
+def run_err(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+    return code
+
+
+@pytest.mark.parametrize("q", ["1", "0"])
+def test_verify_bad_q_is_config_error(capsys, q):
+    assert run_err(capsys, ["verify", "--criterion", "A5", "--q", q]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("cap", ["abc", "1"])
+def test_max_terms_limit_is_config_error(capsys, monkeypatch, cap):
+    monkeypatch.setenv("RAYZETA_MAX_TERMS", cap)
+    assert run_err(capsys, ["zeta", "--preset", "rd-n2p2", "--n", "3"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("doc", [
+    {"preset": "rd-n2p2", "q": "5", "n": 1},
+    {"preset": "rd-n2p2", "n": True},
+    {"f_poly": [2, 0, 1], "a_polys": "0,2;0,1", "n": 1},
+    {"f_poly": "2,0,1", "a_polys": [[0, 2], [0, 1]], "n": 1},
+    {"preset": "rd-n2p2", "n": 1, "label": [1, 0]},
+])
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, doc):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_err(capsys, ["zeta", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    argv = ["zeta", "--preset", "rd-n2p2", "--n", "1", "--out", str(target)]
+    assert run_err(capsys, argv) == EXIT_CONFIG
+
+
+def test_cli_import_leaves_verify_unloaded():
+    src = str(Path(rayzeta.__file__).resolve().parents[1])
+    probe = "import sys, rayzeta.cli; print('rayzeta.verify' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
