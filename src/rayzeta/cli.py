@@ -123,6 +123,9 @@ def parse_char(text: str, q: int) -> DirichletChar:
         raise ConfigError(str(e)) from None
 
 
+# Report formats; the first is the default.
+FORMATS = ("json", "csv")
+
 # Config keys and their JSON types, the same as the matching flags take.
 CONFIG_KEYS = {
     "preset": str, "f_poly": str, "a_polys": str, "q": int, "n": int,
@@ -149,6 +152,8 @@ def load_config(path: str) -> dict:
                 f"config key {key!r} must be {CONFIG_KEYS[key].__name__}, "
                 f"got {type(value).__name__}"
             )
+    if doc.get("format", FORMATS[0]) not in FORMATS:
+        raise ConfigError(f"config key 'format' must be one of {list(FORMATS)}")
     return doc
 
 
@@ -421,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, help="ray modulus (default 2)")
         p.add_argument("--label", help="restrict to one label 'C,D'")
         p.add_argument("--out", help="write the report to this file")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        # No argparse default, so a config document's "format" applies.
+        p.add_argument("--format", choices=FORMATS, help="report format (default json)")
 
     p_zeta = sub.add_parser("zeta", help="partial zeta values for a single field")
     common(p_zeta)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 
+from .exactmath import LimitError
 from .quadfield import QuadElem, QuadField, conj, squarefree_part
 
 
@@ -75,29 +77,47 @@ def plus_cf(x: QuadElem, max_period: int = 10**6) -> PeriodicCF:
         cur = (cur - a).inverse()
         if (cur.a, cur.b) == start:
             return PeriodicCF(tuple(terms))
-    raise RuntimeError(f"period not found within {max_period} terms")
+    raise LimitError(f"plus CF period not found within {max_period} terms")
+
+
+def _surd_state(x: QuadElem) -> tuple[int, int, int]:
+    """Integers (P, D, Q) with x = (P + sqrt(D))/Q and Q | D - P^2.
+
+    For x = (A + B*sqrt(Delta))/L with B != 0 this is P = A*L,
+    D = B^2*Delta*L^2, Q = L^2, both P and Q negated when B < 0.
+    """
+    L = x.a.denominator * x.b.denominator // gcd(x.a.denominator, x.b.denominator)
+    A, B = int(x.a * L), int(x.b * L)
+    sign = 1 if B > 0 else -1
+    return sign * A * L, B * B * x.field.Delta * L * L, sign * L * L
 
 
 def minus_cf(x: QuadElem, max_period: int = 10**6) -> MinusCF:
     """Periodic minus CF of x computed by the ceiling algorithm.
 
-    Requires x > 1 and 0 < x' < 1 (reduced for the minus expansion).
+    Requires x > 1 and 0 < x' < 1 (reduced for the minus expansion).  Runs
+    on the integer state x = (P + sqrt(D))/Q, for which Q > 0 and
+    Q | D - P^2 hold throughout: each step is b = ceil(x) =
+    (P + isqrt(D))//Q + 1, P <- bQ - P, Q <- (P^2 - D)/Q.
     """
     if x.is_rational:
         raise NotReducedError("rational numbers have no periodic minus expansion")
-    zero, one = x.field.elem(0), x.field.elem(1)
-    if not (x > one and zero < conj(x) < one):
+    P, D, Q = _surd_state(x)
+    r = isqrt(D)  # sqrt(D) is irrational, so sqrt(D) > t iff r >= t
+    # x > x' (Q > 0), x > 1, x' > 0 and x' < 1, decided on integers
+    if not (Q > 0 and r >= Q - P and P > r and r >= P - Q):
         raise NotReducedError("x must satisfy x > 1 and 0 < x' < 1")
-    start = (x.a, x.b)
+    P0, Q0 = P, Q
     terms = []
-    cur = x
+    append = terms.append
     for _ in range(max_period):
-        b = cur.ceil()
-        terms.append(b)
-        cur = (b - cur).inverse()
-        if (cur.a, cur.b) == start:
+        b = (P + r) // Q + 1
+        append(b)
+        P = b * Q - P
+        Q = (P * P - D) // Q
+        if P == P0 and Q == Q0:
             return MinusCF(tuple(terms))
-    raise RuntimeError(f"period not found within {max_period} terms")
+    raise LimitError(f"minus CF period not found within {max_period} terms")
 
 
 def cf_value(cf: PeriodicCF) -> QuadElem:
@@ -112,10 +132,7 @@ def cf_value(cf: PeriodicCF) -> QuadElem:
     A, B, C = q_cur, q_prev - p_cur, -p_prev
     disc = B * B - 4 * A * C
     d0 = squarefree_part(disc)
-    c2 = disc // d0
-    from math import isqrt
-
-    c = isqrt(c2)
+    c = isqrt(disc // d0)
     field = QuadField(d0)
     root = field.elem(Fraction(-B, 2 * A), Fraction(c, 2 * A))
     if not (root > field.elem(1)):

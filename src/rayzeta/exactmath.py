@@ -1,12 +1,22 @@
-"""Exact rational helpers: Bernoulli values, fractional parts, residues.
+"""Exact rational helpers: Bernoulli values, fractional parts, residues,
+and the integer series kernel.
 
-All arithmetic is done on `fractions.Fraction`; no floats appear anywhere
-in a computational path.
+All arithmetic is exact rational; no floats appear anywhere in a
+computational path.  The zeta series runs on integers: every Yamamoto
+coordinate is X/q with X in [1, q], so each series term is an integer
+numerator over the fixed denominator 12q^2 (`term12`), and a sum becomes
+a `Fraction` only once, at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+class LimitError(RuntimeError):
+    """A resource limit is exceeded: the series-term cap, the squarefree
+    certification bound or a continued-fraction period bound; or
+    RAYZETA_MAX_TERMS is not an integer."""
 
 
 def bernoulli1(x: Fraction) -> Fraction:
@@ -49,6 +59,9 @@ def residue_one(a: int, q: int) -> int:
     return q if r == 0 else r
 
 
-def kernel_F(x: Fraction, y: Fraction) -> Fraction:
-    """Two-variable kernel F(x, y) = -B1(x)*B1(y) + B2(x)."""
-    return -bernoulli1(x) * bernoulli1(y) + bernoulli2(x)
+def term12(b: int, X: int, Xp: int, q: int) -> int:
+    """12q^2 * (-B1(X/q)*B1(Xp/q) + (b/2)*B2(X/q)), an integer.
+
+    The series term of the cone sums, with x_i = X/q and x_{i-1} = Xp/q.
+    """
+    return b * (6 * X * X - 6 * X * q + q * q) - 3 * (2 * X - q) * (2 * Xp - q)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .contfrac import PeriodicCF, cf_value, pair_count
-from .exactmath import bernoulli1, bernoulli2, frac_unit, kernel_F, residue_one, residue_zero
+from .exactmath import bernoulli1, bernoulli2, frac_unit, residue_one, residue_zero, term12
 from .quadfield import ModuleBasis, is_squarefree
 from .shintani import ConeContext, RayLabel, orbit, partial_zeta0
 
@@ -227,22 +227,24 @@ def A_im(spec: FamilySpec, i: int, m: int, r: int) -> Fraction:
     return total
 
 
-def _progression_sum(count: int, d: Fraction, nu_start: Fraction) -> Fraction:
-    """Exact sum of F(x_i, x_{i-1}) for i = 1..count along the arithmetic
-    progression x_i = <nu_start + i*d> (mod 1, values in (0,1]).
+def _progression_sum(count: int, d: Fraction, nu_start: Fraction, q: int) -> Fraction:
+    """Exact sum of -B1(x_i)B1(x_{i-1}) + B2(x_i) for i = 1..count along the
+    arithmetic progression x_i = <nu_start + i*d> (mod 1, values in (0,1]).
 
     Inside a segment the Yamamoto sequence is exactly such a progression, so
     the one-q-period block (count = q) and the gamma-1 tail are both
     instances of this sum; the block value repeats for every q-window
-    because q*d is an integer.
+    because q*d is an integer.  The sum runs on the numerators
+    X_i = q*x_i = <X_0 + i*dX>_q in [1, q] with the kernel `term12` at b = 2.
     """
-    total = Fraction(0)
-    prev = nu_start
-    for _ in range(count):
-        cur = frac_unit(prev + d)
-        total += kernel_F(cur, prev)
+    X0, dX = int(nu_start * q), int(d * q)
+    total = 0
+    prev = X0
+    for i in range(1, count + 1):
+        cur = residue_one(X0 + i * dX, q)
+        total += term12(2, cur, prev, q)
         prev = cur
-    return total
+    return Fraction(total, 12 * q * q)
 
 
 def coeffs_closed(spec: FamilySpec, label: RayLabel, r: int) -> list[Fraction]:
@@ -262,7 +264,7 @@ def coeffs_closed(spec: FamilySpec, label: RayLabel, r: int) -> list[Fraction]:
             )
         for l in range(J):
             val += A_im(spec, 2 * l + 1, m, r) * _progression_sum(
-                q, data.ds[l], data.nu(data.Gammas[l])
+                q, data.ds[l], data.nu(data.Gammas[l]), q
             )
         out[m] = val
 
@@ -277,8 +279,8 @@ def coeffs_closed(spec: FamilySpec, label: RayLabel, r: int) -> list[Fraction]:
     for l in range(J):
         nu_l = data.nu(data.Gammas[l])
         gamma_odd = data.gammas[2 * l + 1]
-        b0 += data.taus[2 * l + 1] * _progression_sum(q, data.ds[l], nu_l)
-        b0 += _progression_sum(gamma_odd - 1, data.ds[l], nu_l)
+        b0 += data.taus[2 * l + 1] * _progression_sum(q, data.ds[l], nu_l, q)
+        b0 += _progression_sum(gamma_odd - 1, data.ds[l], nu_l, q)
     out[0] = b0
     return out
 

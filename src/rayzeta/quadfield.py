@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .exactmath import LimitError
+
 
 class FieldMismatchError(ValueError):
     """Raised when elements of distinct fields are combined."""
@@ -52,7 +54,7 @@ def squarefree_part(n: int, bound: int = 10**6) -> int:
         elif n < bound * bound * bound and not is_perfect_square(n):
             d *= n  # prime or product of two distinct primes > bound
         else:
-            raise ValueError(f"cannot certify squarefree part beyond bound {bound}")
+            raise LimitError(f"cannot certify squarefree part beyond bound {bound}")
     return d
 
 
@@ -74,7 +76,7 @@ def is_squarefree(n: int, bound: int = 10**6) -> bool:
         return False
     if n < bound * bound * bound:
         return True
-    raise ValueError(f"cannot certify squarefreeness beyond bound {bound}")
+    raise LimitError(f"cannot certify squarefreeness beyond bound {bound}")
 
 
 @dataclass(frozen=True)
@@ -273,22 +275,25 @@ def eval_coords(u, v, basis: ModuleBasis) -> QuadElem:
 
 
 def fundamental_unit_totally_positive(
-    basis: ModuleBasis, max_period: int = 10**6
+    basis: ModuleBasis, max_period: int = 10**6, mcf=None
 ) -> QuadElem:
     """Totally positive fundamental unit eps > 1 of the ring acting on [1, delta].
 
     Obtained from one period of the minus continued fraction of delta via the
     boundary-point recurrence P_{i+1} = b_i P_i - P_{i-1}: after m steps
-    P_m = eps^{-1}.
+    P_m = eps^{-1}.  The recurrence runs on the integer coordinates of P_i
+    in [1, delta], starting at P_{-1} = delta, P_0 = 1.  `mcf` is that minus
+    CF if the caller has already expanded it.
     """
-    from .contfrac import minus_cf  # local import to avoid module cycle
+    if mcf is None:
+        from .contfrac import minus_cf  # local import to avoid module cycle
 
-    mcf = minus_cf(basis.delta, max_period=max_period)
-    one = basis.field.elem(1)
-    p_prev, p_cur = basis.delta, one
+        mcf = minus_cf(basis.delta, max_period=max_period)
+    (u_prev, v_prev), (u, v) = (0, 1), (1, 0)
     for b in mcf.terms:
-        p_prev, p_cur = p_cur, b * p_cur - p_prev
-    eps = p_cur.inverse()
+        u_prev, v_prev, u, v = u, v, b * u - u_prev, b * v - v_prev
+    one = basis.field.elem(1)
+    eps = eval_coords(u, v, basis).inverse()
     if norm(eps) != 1 or not is_totally_positive(eps) or not (eps > one):
         raise UnitSearchError("unit recurrence returned a non-unit; field data malformed")
     return eps

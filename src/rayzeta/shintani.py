@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from .contfrac import MinusCF, minus_cf
-from .exactmath import bernoulli1, bernoulli2, frac_unit, residue_zero
+from .exactmath import LimitError, frac_unit, residue_one, residue_zero, term12
 from .quadfield import (
     ModuleBasis,
     QuadElem,
@@ -30,10 +30,6 @@ class LabelError(ValueError):
 
 class InternalCheckError(RuntimeError):
     """Two independent computations of the same quantity disagreed."""
-
-
-class LimitError(RuntimeError):
-    """The series-term cap is exceeded, or RAYZETA_MAX_TERMS is not an integer."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ class ConeContext:
         if self.q < 2:
             raise LabelError("q must be >= 2")
         self.mcf = minus_cf(self.basis.delta)
-        self.eps = fundamental_unit_totally_positive(self.basis)
+        self.eps = fundamental_unit_totally_positive(self.basis, mcf=self.mcf)
         self.lam = unit_index_lambda(self.eps, self.q, self.basis)
         if self.lam * self.mcf.m > self.max_terms:
             raise LimitError(
@@ -195,34 +191,37 @@ def xy_direct(
     return x, y
 
 
+def _series12(C: int, D: int, q: int, terms: tuple[int, ...], count: int) -> int:
+    """12q^2 times the sum over i = 1..count of -B1(x_i)B1(x_{i-1}) +
+    (b_i/2)B2(x_i), streamed on the Yamamoto numerators X_i = q*x_i:
+    X_{-1} = q - C, X_0 = <D>_q, X_{i+1} = <b_i X_i - X_{i-1}>_q in [1, q]."""
+    m = len(terms)
+    x_prev, x = q - C, residue_one(D, q)
+    total = 0
+    for i in range(count):
+        x_prev, x = x, residue_one(terms[i % m] * x - x_prev, q)
+        total += term12(terms[(i + 1) % m], x, x_prev, q)
+    return total
+
+
 def partial_zeta0(ctx: ConeContext, label: RayLabel) -> Fraction:
     """Exact zeta_q(0, (C+D*delta)*b).
 
     Computed both as the single sum over i = 1..lambda*m and as the
-    orbit-decomposed double sum; the two must agree.
+    orbit-decomposed double sum; the two integer numerators over 12q^2
+    must agree.
     """
     if gcd(ctx.label_norm(label), ctx.q) != 1:
         raise LabelError("label lies outside F_delta")
-    m, lam = ctx.mcf.m, ctx.lam
-    total_len = lam * m
-    seq = yamamoto_xy(label, ctx.mcf, total_len)
-    value = Fraction(0)
-    for i in range(1, total_len + 1):
-        b = ctx.mcf.terms[i % m]
-        value += -bernoulli1(seq.xs[i]) * bernoulli1(seq.xs[i - 1]) + Fraction(
-            b, 2
-        ) * bernoulli2(seq.xs[i])
-
-    by_orbit = Fraction(0)
-    for member in orbit(label, ctx):
-        mseq = yamamoto_xy(member, ctx.mcf, m)
-        for i in range(1, m + 1):
-            b = ctx.mcf.terms[i % m]
-            by_orbit += -bernoulli1(mseq.xs[i]) * bernoulli1(mseq.xs[i - 1]) + Fraction(
-                b, 2
-            ) * bernoulli2(mseq.xs[i])
-    if by_orbit != value:
+    q, terms, m = label.q, ctx.mcf.terms, ctx.mcf.m
+    single = _series12(label.C, label.D, q, terms, ctx.lam * m)
+    by_orbit = sum(
+        _series12(member.C, member.D, q, terms, m) for member in orbit(label, ctx)
+    )
+    denom = 12 * q * q
+    if by_orbit != single:
         raise InternalCheckError(
-            f"orbit-decomposed sum {by_orbit} differs from direct sum {value}"
+            f"orbit-decomposed sum {Fraction(by_orbit, denom)} differs from "
+            f"direct sum {Fraction(single, denom)}"
         )
-    return value
+    return Fraction(single, denom)

@@ -288,3 +288,28 @@ def test_cli_import_leaves_verify_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n", [
+    "10000000000",  # f(n) is past the squarefree certification bound
+    "2000000000",  # the minus-CF period is past max_period
+])
+def test_size_limits_are_config_errors(capsys, n):
+    assert run_err(capsys, ["zeta", "--preset", "rd-n2p2", "--n", n]) == EXIT_CONFIG
+
+
+def test_config_format_is_applied(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preset": "rd-n2p2", "n": 1, "format": "csv"}))
+    code, out = run(capsys, ["zeta", "--config", str(cfg)])
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "C,D,lambda,m,norm_mod_q,orbit,value"
+    code, out = run(capsys, ["zeta", "--config", str(cfg), "--format", "json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["command"] == "zeta"
+
+
+def test_config_unknown_format_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preset": "rd-n2p2", "n": 1, "format": "xml"}))
+    assert run_err(capsys, ["zeta", "--config", str(cfg)]) == EXIT_CONFIG

@@ -1,6 +1,9 @@
 """Tests for plus and minus continued fractions and their conversion."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rayzeta.contfrac import (
     MinusCF,
@@ -13,7 +16,32 @@ from rayzeta.contfrac import (
     plus_to_minus,
     s_indices,
 )
+from rayzeta.exactmath import LimitError
+from rayzeta.family import PRESETS, poly_eval
 from rayzeta.quadfield import QuadField
+
+
+def ceiling_expansion(x, max_period=10**4):
+    """Oracle: the ceiling algorithm x -> 1/(ceil(x) - x) on field elements,
+    period found by repetition of x itself."""
+    start, cur, terms = x, x, []
+    while len(terms) < max_period:
+        b = cur.ceil()
+        terms.append(b)
+        cur = (b - cur).inverse()
+        if cur == start:
+            return tuple(terms)
+    raise AssertionError("oracle found no period")
+
+
+def minus_cf_value(terms):
+    """The root > 1 of x = ((terms)) written as a field element."""
+    p, p1, q, q1 = 1, 0, 0, 1  # [[p, p1], [q, q1]] = product of [[b, -1], [1, 0]]
+    for b in terms:
+        p, p1, q, q1 = b * p + p1, -p, b * q + q1, -q
+    # x = (p x + p1) / (q x + q1):  q x^2 + (q1 - p) x - p1 = 0
+    B = q1 - p
+    return QuadField(B * B + 4 * q * p1).elem(Fraction(-B, 2 * q), Fraction(1, 2 * q))
 
 
 def test_term_validation():
@@ -109,3 +137,34 @@ def test_minus_cf_term_structure():
     a = cf.terms
     assert mcf.m == sum(a[2 * j - 1] for j in range(1, pair_count(cf.s) + 1))
     assert mcf.terms.count(2) == mcf.m - pair_count(cf.s)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_minus_cf_equals_ceiling_oracle_on_presets(name):
+    spec = PRESETS[name]
+    for n in range(max(spec.n_range[0], 1), 41):
+        delta = cf_value(PeriodicCF(tuple(poly_eval(a, n) for a in spec.a_polys))) + 1
+        assert minus_cf(delta).terms == ceiling_expansion(delta), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 12), min_size=1, max_size=8).filter(lambda t: max(t) > 2))
+def test_minus_cf_equals_ceiling_oracle_on_random_surds(period):
+    x = minus_cf_value(period)
+    terms = minus_cf(x).terms
+    assert terms == ceiling_expansion(x)
+    assert terms * (len(period) // len(terms)) == tuple(period)
+
+
+def test_minus_cf_rejects_unreduced():
+    K = QuadField(3)
+    for a, b in [(5, 0), (1, 1), (3, 1), (2, -1), (Fraction(1, 2), Fraction(3, 2))]:
+        with pytest.raises(NotReducedError):
+            minus_cf(K.elem(a, b))
+
+
+def test_period_limits_raise_limit_error():
+    with pytest.raises(LimitError):
+        minus_cf(minus_cf_value((4, 3)), max_period=1)
+    with pytest.raises(LimitError):
+        plus_cf(QuadField(3).elem(1, 1), max_period=1)  # [[2, 1]], period 2

@@ -8,9 +8,9 @@ from rayzeta.exactmath import (
     bernoulli1,
     bernoulli2,
     frac_unit,
-    kernel_F,
     residue_one,
     residue_zero,
+    term12,
 )
 
 
@@ -65,8 +65,14 @@ def test_residue_one_range_and_congruence():
 
 
 def test_kernel_matches_bernoulli_expansion():
-    x, y = Fraction(1, 3), Fraction(2, 5)
-    assert kernel_F(x, y) == -bernoulli1(x) * bernoulli1(y) + bernoulli2(x)
+    # term12 is 12q^2 times the rational series term, on every numerator pair
+    for q in range(2, 12):
+        for b in range(2, 7):
+            for X in range(1, q + 1):
+                for Xp in range(1, q + 1):
+                    x, xp = Fraction(X, q), Fraction(Xp, q)
+                    term = -bernoulli1(x) * bernoulli1(xp) + Fraction(b, 2) * bernoulli2(x)
+                    assert term12(b, X, Xp, q) == 12 * q * q * term
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rayzeta.exactmath import frac_unit, kernel_F
+from rayzeta.exactmath import bernoulli1, bernoulli2, frac_unit
 from rayzeta.family import (
     A_im,
     FamilySpec,
@@ -13,6 +13,7 @@ from rayzeta.family import (
     PRESETS,
     QuasiPoly,
     ResidueData,
+    _progression_sum,
     coeffs_closed,
     first_instances,
     fit_oracle,
@@ -84,6 +85,22 @@ def test_residue_data_progression_markers():
     assert data.nu(0) == frac_unit(Fraction(1, 3))
     assert len(data.ds) == 1
     assert all(0 < d <= 1 for d in data.ds)
+
+
+def test_progression_sum_equals_fraction_sum():
+    # oracle: the kernel summed on Fraction coordinates x_i = <nu + i*d>
+    for q in range(2, 8):
+        for dX in range(1, q + 1):
+            for X0 in range(1, q + 1):
+                d, nu = Fraction(dX, q), Fraction(X0, q)
+                xs = [frac_unit(nu + i * d) for i in range(2 * q + 1)]
+                for count in range(2 * q + 1):
+                    want = sum(
+                        (-bernoulli1(xs[i]) * bernoulli1(xs[i - 1]) + bernoulli2(xs[i])
+                         for i in range(1, count + 1)),
+                        Fraction(0),
+                    )
+                    assert _progression_sum(count, d, nu, q) == want
 
 
 def test_A_im_linear_family():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rayzeta.exactmath import LimitError
 from rayzeta.quadfield import (
     ModuleBasis,
     QuadField,
@@ -28,6 +29,14 @@ def test_squarefree_classification():
     assert not is_squarefree(4)
     assert not is_squarefree(27)
     assert not is_squarefree(12)
+
+
+def test_squarefree_certification_bound_is_a_limit():
+    n = 1009 * 1013 * 1019  # no factor up to the bound, cofactor >= bound^3
+    with pytest.raises(LimitError):
+        is_squarefree(n, bound=10)
+    with pytest.raises(LimitError):
+        squarefree_part(n, bound=10)
 
 
 def test_squarefree_part():

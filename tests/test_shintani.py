@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from rayzeta.family import PRESETS, instantiate
+from rayzeta.exactmath import bernoulli1, bernoulli2
+from rayzeta.family import PRESETS, instantiate, usable
 from rayzeta.quadfield import ModuleBasis, QuadField, coords_in_basis
 from rayzeta.shintani import (
     ConeContext,
@@ -140,3 +141,27 @@ def test_max_terms_cap(monkeypatch):
     monkeypatch.setenv("RAYZETA_MAX_TERMS", "1")
     with pytest.raises(RuntimeError):
         ConeContext(ModuleBasis(K.elem(2, 1)), 2)
+
+
+def yamamoto_single_sum(ctx, label):
+    """Oracle: the single sum over i = 1..lambda*m on Fraction coordinates."""
+    m = ctx.mcf.m
+    xs = yamamoto_xy(label, ctx.mcf, ctx.lam * m).xs
+    return sum(
+        (-bernoulli1(xs[i]) * bernoulli1(xs[i - 1])
+         + Fraction(ctx.mcf.terms[i % m], 2) * bernoulli2(xs[i])
+         for i in range(1, len(xs))),
+        Fraction(0),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_partial_zeta_equals_fraction_sum_on_a3_grid(name):
+    for q in (2, 3, 5):
+        spec = PRESETS[name].with_q(q)
+        for n in range(spec.n_range[0], 13):
+            if not usable(spec, n):
+                continue
+            ctx = instantiate(spec, n).ctx
+            for lab in f_delta(ctx):
+                assert partial_zeta0(ctx, lab) == yamamoto_single_sum(ctx, lab), (q, n, lab)
