@@ -15,6 +15,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .contfrac import ConversionMismatchError, NotReducedError
 from .exactmath import residue_zero
@@ -109,12 +110,12 @@ def parse_char(text: str, q: int) -> DirichletChar:
         raise ConfigError(f"character must be modulus:order:g=e[,g=e...] — got {text!r}")
     try:
         modulus, order = int(parts[0]), int(parts[1])
-        gens = {}
-        for pair in parts[2].split(","):
-            g, e = pair.split("=")
-            gens[int(g)] = int(e)
+        pairs = [pair.split("=") for pair in parts[2].split(",")]
+        gens = {int(g): int(e) for g, e in pairs}
     except ValueError:
         raise ConfigError(f"bad character spec {text!r}") from None
+    if len(gens) != len(pairs):
+        raise ConfigError(f"a generator is given more than once in {text!r}")
     if modulus != q:
         raise ConfigError(f"character modulus {modulus} differs from q = {q}")
     try:
@@ -409,6 +410,7 @@ def cmd_verify(args) -> int:
 # driver
 
 
+@cache  # built on the first call, then reused: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rayzeta",

@@ -5,18 +5,24 @@ delta(n) - 1.  Per residue r = n mod q the partial zeta value at 0 is a
 polynomial in k (n = qk + r); this module computes its coefficients in
 closed form, converts between k-form and n-form, and certifies the closed
 forms against exact interpolation through directly computed zeta values.
+
+The closed forms need only residue-level data: the index rule
+`contfrac.plus_to_minus` applied to the residues gamma_i of the a_i(r) mod q,
+and the integer Yamamoto recursion `shintani.yamamoto_numerators` over that
+minus CF, the same recursion `partial_zeta0` sums.  Every coefficient is an
+integer numerator over 12q^2, built with the series kernel `term12`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .contfrac import PeriodicCF, cf_value, pair_count
-from .exactmath import bernoulli1, bernoulli2, frac_unit, residue_one, residue_zero, term12
+from .contfrac import PeriodicCF, cf_value, plus_to_minus, s_indices
+from .exactmath import residue_one, residue_zero, term12
 from .quadfield import ModuleBasis, is_squarefree
-from .shintani import ConeContext, RayLabel, orbit, partial_zeta0
+from .shintani import ConeContext, RayLabel, orbit, partial_zeta0, yamamoto_numerators
 
 Poly = tuple[int, ...]  # integer polynomial, ascending coefficients
 
@@ -163,126 +169,92 @@ def sample_ks(spec: FamilySpec, r: int, k_values) -> tuple[list[int], list[int]]
 
 
 # ---------------------------------------------------------------------------
-# residue-level data (gamma, tau, Gamma, c, nu, d)
+# residue-level coefficients
 
 
 def gamma_tau(spec: FamilySpec, r: int) -> tuple[list[int], list[int]]:
-    """gamma_i(r) in [1, q] and tau_i(r) with a_i(r) = q*tau + gamma,
-    for i = 0 .. 2*pair_count - 1 (a-index taken mod s)."""
+    """gamma_i(r) in [1, q] and tau_i(r) with a_i(r) = q*tau_i + gamma_i,
+    for i = 0 .. s-1."""
     q = spec.q
     gammas, taus = [], []
-    for i in range(2 * pair_count(spec.s)):
-        ai = poly_eval(spec.a_polys[i % spec.s], r)
+    for a in spec.a_polys:
+        ai = poly_eval(a, r)
         g = residue_one(ai, q)
         gammas.append(g)
         taus.append((ai - g) // q)
     return gammas, taus
 
 
-@dataclass
-class ResidueData:
-    """gamma/tau/Gamma/c/nu/d tables for one label (A, B) at residue r."""
-
-    spec: FamilySpec
-    label: RayLabel
-    r: int
-    gammas: list[int] = dc_field(init=False)
-    taus: list[int] = dc_field(init=False)
-    Gammas: list[int] = dc_field(init=False)  # Gamma_0..Gamma_J
-    nus: list[Fraction] = dc_field(init=False)  # nus[i+1] = nu^i, i = -1..Gamma_J
-    ds: list[Fraction] = dc_field(init=False)  # d^l for l = 0..J-1
-
-    def __post_init__(self):
-        spec, r, q = self.spec, self.r, self.spec.q
-        self.gammas, self.taus = gamma_tau(spec, r)
-        J = pair_count(spec.s)
-        self.Gammas = [0]
-        for j in range(1, J + 1):
-            self.Gammas.append(self.Gammas[-1] + self.gammas[2 * j - 1])
-        special = {self.Gammas[j]: self.gammas[(2 * j) % len(self.gammas)] + 2
-                   for j in range(J + 1)}
-        A, B = self.label.C, self.label.D
-        nus = [Fraction(q - A, q), frac_unit(Fraction(B, q))]  # nu^{-1}, nu^0
-        for i in range(self.Gammas[-1]):
-            c = special.get(i, 2)
-            nus.append(frac_unit(c * nus[-1] - nus[-2]))
-        self.nus = nus
-        self.ds = [
-            frac_unit(self.nu(self.Gammas[l] + 1) - self.nu(self.Gammas[l]))
-            for l in range(J)
-        ]
-
-    def nu(self, i: int) -> Fraction:
-        return self.nus[i + 1]
-
-
-def A_im(spec: FamilySpec, i: int, m: int, r: int) -> Fraction:
+def A_im(spec: FamilySpec, i: int, m: int, r: int) -> int:
     """Coefficient of k^m in a_i(qk+r)/q: sum_{j>=m} alpha_{ij} C(j,m) q^{m-1} r^{j-m}."""
     if m < 1:
         raise ValueError("m must be >= 1")
     a = spec.a_polys[i % spec.s]
-    total = Fraction(0)
-    for j in range(m, len(a)):
-        total += Fraction(a[j] * comb(j, m) * spec.q ** (m - 1) * r ** (j - m))
-    return total
+    return sum(a[j] * comb(j, m) * spec.q ** (m - 1) * r ** (j - m) for j in range(m, len(a)))
 
 
-def _progression_sum(count: int, d: Fraction, nu_start: Fraction, q: int) -> Fraction:
-    """Exact sum of -B1(x_i)B1(x_{i-1}) + B2(x_i) for i = 1..count along the
-    arithmetic progression x_i = <nu_start + i*d> (mod 1, values in (0,1]).
+def _progression_sum(count: int, dX: int, X0: int, q: int) -> int:
+    """12q^2 times the sum of -B1(x_i)B1(x_{i-1}) + B2(x_i) for i = 1..count
+    along the arithmetic progression x_i = X_i/q, X_i = <X0 + i*dX>_q in [1, q].
 
     Inside a segment the Yamamoto sequence is exactly such a progression, so
     the one-q-period block (count = q) and the gamma-1 tail are both
     instances of this sum; the block value repeats for every q-window
-    because q*d is an integer.  The sum runs on the numerators
-    X_i = q*x_i = <X_0 + i*dX>_q in [1, q] with the kernel `term12` at b = 2.
+    because X_{i+q} = X_i.
     """
-    X0, dX = int(nu_start * q), int(d * q)
     total = 0
     prev = X0
     for i in range(1, count + 1):
         cur = residue_one(X0 + i * dX, q)
         total += term12(2, cur, prev, q)
         prev = cur
-    return Fraction(total, 12 * q * q)
+    return total
 
 
 def coeffs_closed(spec: FamilySpec, label: RayLabel, r: int) -> list[Fraction]:
     """Contribution [B^0, ..., B^d] of one orbit member (A, B) to the k-form
-    coefficients, from the residue-level data alone (no n enters)."""
-    q, d = spec.q, spec.d
-    data = ResidueData(spec, label, r)
-    J = pair_count(spec.s)
-    out = [Fraction(0)] * (d + 1)
+    coefficients, from the residue-level data alone (no n enters).
+
+    The residue data is the minus CF of delta(n) taken mod q: the index rule
+    `plus_to_minus` applied to [[gamma_0, ..., gamma_{s-1}]], with segment
+    starts Gamma_l = `s_indices`, and the Yamamoto numerators X_i over it.
+    Segment l is the progression X_{Gamma_l} + i*dX_l; the k^m terms come
+    from the blocks of q steps and from the special terms at the Gamma_l.
+    Every coefficient is an integer numerator over 12q^2.
+    """
+    q, s = spec.q, spec.s
+    gammas, taus = gamma_tau(spec, r)
+    rcf = PeriodicCF(tuple(gammas))
+    Gammas = s_indices(rcf)  # Gamma_0 .. Gamma_J
+    J = len(Gammas) - 1
+    # X[i + 1] = X_i for i = -1 .. Gamma_J
+    X = yamamoto_numerators(label, plus_to_minus(rcf, validate=False), Gammas[-1])
+    starts = [X[G + 1] for G in Gammas]
+    steps = [residue_one(X[G + 2] - X[G + 1], q) for G in Gammas[:-1]]
+    blocks = [_progression_sum(q, steps[l], starts[l], q) for l in range(J)]
+
+    # constant coefficient: the special terms b = a_{2l}(r) + 2, then per
+    # segment tau_{2l+1} full blocks and a tail of gamma_{2l+1} - 1 steps
+    c0 = 0
+    for l in range(1, J + 1):
+        i = 2 * l % s
+        c0 += term12(q * taus[i] + gammas[i] + 2, starts[l], X[Gammas[l]], q)
+    for l in range(J):
+        tail = Gammas[l + 1] - Gammas[l] - 1
+        c0 += taus[(2 * l + 1) % s] * blocks[l]
+        c0 += _progression_sum(tail, steps[l], starts[l], q)
+    out = [c0]
 
     # k^m coefficients, m >= 1
-    for m in range(1, d + 1):
-        val = Fraction(0)
+    for m in range(1, spec.d + 1):
+        cm = 0
         for l in range(1, J + 1):
-            val += Fraction(q, 2) * A_im(spec, 2 * l, m, r) * bernoulli2(
-                data.nu(data.Gammas[l])
-            )
+            x = starts[l]
+            cm += q * A_im(spec, 2 * l, m, r) * (6 * x * x - 6 * x * q + q * q)
         for l in range(J):
-            val += A_im(spec, 2 * l + 1, m, r) * _progression_sum(
-                q, data.ds[l], data.nu(data.Gammas[l]), q
-            )
-        out[m] = val
-
-    # constant coefficient
-    b0 = Fraction(0)
-    for l in range(1, J + 1):
-        nu_l = data.nu(data.Gammas[l])
-        nu_lm1 = data.nu(data.Gammas[l] - 1)
-        factor = Fraction(q * data.taus[2 * l % len(data.taus)]
-                          + data.gammas[2 * l % len(data.gammas)] + 2, 2)
-        b0 += -bernoulli1(nu_l) * bernoulli1(nu_lm1) + factor * bernoulli2(nu_l)
-    for l in range(J):
-        nu_l = data.nu(data.Gammas[l])
-        gamma_odd = data.gammas[2 * l + 1]
-        b0 += data.taus[2 * l + 1] * _progression_sum(q, data.ds[l], nu_l, q)
-        b0 += _progression_sum(gamma_odd - 1, data.ds[l], nu_l, q)
-    out[0] = b0
-    return out
+            cm += A_im(spec, 2 * l + 1, m, r) * blocks[l]
+        out.append(cm)
+    return [Fraction(c, 12 * q * q) for c in out]
 
 
 # ---------------------------------------------------------------------------

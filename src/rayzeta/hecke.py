@@ -55,6 +55,8 @@ class DirichletChar:
     @classmethod
     def from_generators(cls, q: int, order: int, gens: dict[int, int]) -> "DirichletChar":
         """Build the full exponent table from generator -> exponent pairs."""
+        if order < 1:
+            raise CharacterError("order must be positive")
         for g in gens:
             if gcd(g, q) != 1:
                 raise CharacterError(f"generator {g} is not a unit mod {q}")

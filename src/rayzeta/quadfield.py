@@ -274,21 +274,14 @@ def eval_coords(u, v, basis: ModuleBasis) -> QuadElem:
     return basis.field.elem(Fraction(u)) + Fraction(v) * basis.delta
 
 
-def fundamental_unit_totally_positive(
-    basis: ModuleBasis, max_period: int = 10**6, mcf=None
-) -> QuadElem:
+def fundamental_unit_totally_positive(basis: ModuleBasis, mcf) -> QuadElem:
     """Totally positive fundamental unit eps > 1 of the ring acting on [1, delta].
 
-    Obtained from one period of the minus continued fraction of delta via the
-    boundary-point recurrence P_{i+1} = b_i P_i - P_{i-1}: after m steps
-    P_m = eps^{-1}.  The recurrence runs on the integer coordinates of P_i
-    in [1, delta], starting at P_{-1} = delta, P_0 = 1.  `mcf` is that minus
-    CF if the caller has already expanded it.
+    Obtained from one period `mcf` of the minus continued fraction of delta
+    via the boundary-point recurrence P_{i+1} = b_i P_i - P_{i-1}: after m
+    steps P_m = eps^{-1}.  The recurrence runs on the integer coordinates of
+    P_i in [1, delta], starting at P_{-1} = delta, P_0 = 1.
     """
-    if mcf is None:
-        from .contfrac import minus_cf  # local import to avoid module cycle
-
-        mcf = minus_cf(basis.delta, max_period=max_period)
     (u_prev, v_prev), (u, v) = (0, 1), (1, 0)
     for b in mcf.terms:
         u_prev, v_prev, u, v = u, v, b * u - u_prev, b * v - v_prev
@@ -306,12 +299,12 @@ def mult_matrix(x: QuadElem, basis: ModuleBasis):
     return ((c1[0], c2[0]), (c1[1], c2[1]))
 
 
-def unit_index_lambda(
-    eps: QuadElem, q: int, basis: ModuleBasis, max_power: int = 10**6
-) -> int:
+def unit_index_lambda(eps: QuadElem, q: int, basis: ModuleBasis) -> int:
     """Least lambda >= 1 with eps^lambda = 1 modulo q*[1, delta].
 
-    Equals [E+ : E_q+] and the orbit size of every label in F_delta.
+    Equals [E+ : E_q+] and the orbit size of every label in F_delta.  For a
+    unit the coordinates of eps^j mod q are never both zero, so they take at
+    most q^2 - 1 values and lambda is found within q^2 powers.
     """
     if q < 1:
         raise ValueError("q must be positive")
@@ -322,8 +315,8 @@ def unit_index_lambda(
                 raise ValueError("eps does not stabilize the module [1, delta]")
     (m00, m01), (m10, m11) = ((int(e) % q for e in row) for row in m)
     u, v = 1, 0  # coordinates of eps^j, starting at j=0
-    for j in range(1, max_power + 1):
+    for j in range(1, q * q + 1):
         u, v = (m00 * u + m01 * v) % q, (m10 * u + m11 * v) % q
         if u == 1 % q and v == 0:
             return j
-    raise UnitSearchError(f"no lambda found within {max_power} powers")
+    raise UnitSearchError(f"no lambda found within q^2 = {q * q} powers")

@@ -58,26 +58,24 @@ class ConeContext:
 
     basis: ModuleBasis
     q: int
-    max_terms: int | None = None
     mcf: MinusCF = dc_field(init=False)
     eps: QuadElem = dc_field(init=False)
     lam: int = dc_field(init=False)
 
     def __post_init__(self):
-        if self.max_terms is None:
-            raw = os.environ.get("RAYZETA_MAX_TERMS", str(MAX_TERMS_DEFAULT))
-            try:
-                self.max_terms = int(raw)
-            except ValueError:
-                raise LimitError(f"RAYZETA_MAX_TERMS={raw!r} is not an integer") from None
+        raw = os.environ.get("RAYZETA_MAX_TERMS", str(MAX_TERMS_DEFAULT))
+        try:
+            max_terms = int(raw)
+        except ValueError:
+            raise LimitError(f"RAYZETA_MAX_TERMS={raw!r} is not an integer") from None
         if self.q < 2:
             raise LabelError("q must be >= 2")
         self.mcf = minus_cf(self.basis.delta)
-        self.eps = fundamental_unit_totally_positive(self.basis, mcf=self.mcf)
+        self.eps = fundamental_unit_totally_positive(self.basis, self.mcf)
         self.lam = unit_index_lambda(self.eps, self.q, self.basis)
-        if self.lam * self.mcf.m > self.max_terms:
+        if self.lam * self.mcf.m > max_terms:
             raise LimitError(
-                f"lambda*m = {self.lam * self.mcf.m} exceeds cap {self.max_terms}"
+                f"lambda*m = {self.lam * self.mcf.m} exceeds cap {max_terms}"
             )
 
     def label_norm(self, label: RayLabel) -> int:
@@ -189,6 +187,16 @@ def xy_direct(
     x = frac_unit(x)
     y = y - (y.numerator // y.denominator)
     return x, y
+
+
+def yamamoto_numerators(label: RayLabel, mcf: MinusCF, count: int) -> list[int]:
+    """[X_{-1}, X_0, ..., X_count], the numerators X_i = q*x_i of `yamamoto_xy`:
+    X_{-1} = q - C, X_0 = <D>_q, X_{i+1} = <b_i X_i - X_{i-1}>_q in [1, q]."""
+    q, terms, m = label.q, mcf.terms, mcf.m
+    xs = [q - label.C, residue_one(label.D, q)]
+    for i in range(count):
+        xs.append(residue_one(terms[i % m] * xs[-1] - xs[-2], q))
+    return xs
 
 
 def _series12(C: int, D: int, q: int, terms: tuple[int, ...], count: int) -> int:

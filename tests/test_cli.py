@@ -313,3 +313,32 @@ def test_config_unknown_format_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"preset": "rd-n2p2", "n": 1, "format": "xml"}))
     assert run_err(capsys, ["zeta", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("name", ["rd-n2p2", "quartic-16n4"])
+def test_family_q4_rows_pass_both_checks(capsys, name):
+    # A5 covers q in {2, 3, 5}; q = 4 is the first composite modulus
+    code, out = run(capsys, ["family", "--preset", name, "--q", "4"])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["rows"] and not report["failures"]
+    assert all(row["oracle_ok"] and row["denominator_bounds_ok"] for row in report["rows"])
+
+
+@pytest.mark.parametrize("spec", [
+    "5:0:2=1",  # order 0
+    "5:2:2=1,2=0",  # contradictory exponents for one generator
+])
+def test_bad_char_spec_is_config_error(capsys, spec):
+    argv = ["lfunc", "--preset", "rd-n2p2", "--q", "5", "--char", spec]
+    assert run_err(capsys, argv) == EXIT_CONFIG
+
+
+def test_parser_is_built_on_first_use_only():
+    src = str(Path(rayzeta.__file__).resolve().parents[1])
+    probe = ("import rayzeta.cli as c; n0 = c.build_parser.cache_info().currsize; "
+             "argv = ['zeta', '--preset', 'rd-n2p2', '--n', '1']; c.main(argv); c.main(argv); "
+             "info = c.build_parser.cache_info(); print(n0, info.misses, info.hits)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines()[-1].split() == ["0", "1", "1"]

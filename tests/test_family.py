@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rayzeta.contfrac import PeriodicCF, plus_to_minus, s_indices
 from rayzeta.exactmath import bernoulli1, bernoulli2, frac_unit
 from rayzeta.family import (
     A_im,
@@ -12,7 +13,6 @@ from rayzeta.family import (
     NonSquarefreeSkip,
     PRESETS,
     QuasiPoly,
-    ResidueData,
     _progression_sum,
     coeffs_closed,
     first_instances,
@@ -28,7 +28,14 @@ from rayzeta.family import (
     quasi_poly,
     sample_ks,
 )
-from rayzeta.shintani import RayLabel, f_delta, orbit, partial_zeta0
+from rayzeta.shintani import (
+    RayLabel,
+    f_delta,
+    orbit,
+    partial_zeta0,
+    yamamoto_numerators,
+    yamamoto_xy,
+)
 
 
 def test_poly_eval():
@@ -75,20 +82,58 @@ def test_gamma_tau_reconstructs_terms():
             assert 1 <= gammas[i] <= 3
 
 
-def test_residue_data_progression_markers():
-    # the nu recursion reproduces the Yamamoto x sequence at the
-    # Gamma marker positions (one compressed minus-CF period)
-    spec = PRESETS["rd-n2p2"].with_q(3)
-    lab = RayLabel(0, 1, 3)
-    data = ResidueData(spec, lab, 1)
-    assert data.nu(-1) == Fraction(3 - 0, 3)
-    assert data.nu(0) == frac_unit(Fraction(1, 3))
-    assert len(data.ds) == 1
-    assert all(0 < d <= 1 for d in data.ds)
+def residue_data_oracle(spec, label, r):
+    """The residue-level tables written out by hand on Fractions: Gamma_0 = 0,
+    Gamma_j = Gamma_{j-1} + gamma_{2j-1}; nu^{-1} = (q - A)/q, nu^0 = <B/q>,
+    nu^{i+1} = <c_i nu^i - nu^{i-1}> with c_i = gamma_{2j} + 2 at i = Gamma_j
+    and c_i = 2 elsewhere; d^l = <nu^{Gamma_l + 1} - nu^{Gamma_l}>."""
+    q, s = spec.q, spec.s
+    J = s // 2 if s % 2 == 0 else s
+    gammas = [(poly_eval(spec.a_polys[i % s], r) - 1) % q + 1 for i in range(2 * J)]
+    Gammas = [0]
+    for j in range(1, J + 1):
+        Gammas.append(Gammas[-1] + gammas[2 * j - 1])
+    special = {Gammas[j]: gammas[(2 * j) % (2 * J)] + 2 for j in range(J + 1)}
+    nus = [Fraction(q - label.C, q), frac_unit(Fraction(label.D, q))]
+    for i in range(Gammas[-1]):
+        nus.append(frac_unit(special.get(i, 2) * nus[-1] - nus[-2]))
+    ds = [frac_unit(nus[G + 2] - nus[G + 1]) for G in Gammas[:-1]]
+    return Gammas, nus, ds
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_residue_data_equals_yamamoto_xy(name):
+    # coeffs_closed takes Gamma from s_indices and the nu numerators from the
+    # integer recursion over the index rule applied to the gamma_i; both
+    # equal the hand-written tables, and the numerators equal q * yamamoto_xy
+    # over the minus CF that plus_to_minus checks against the ceiling algorithm
+    cases = 0
+    for q in range(2, 12):
+        spec = PRESETS[name].with_q(q)
+        for r in range(q):
+            rcf = PeriodicCF(tuple(gamma_tau(spec, r)[0]))
+            mcf = plus_to_minus(rcf)
+            assert plus_to_minus(rcf, validate=False) == mcf
+            Gammas = s_indices(rcf)
+            assert Gammas[-1] == mcf.m
+            for C in range(q):
+                for D in range(q):
+                    if (C, D) == (0, 0):
+                        continue
+                    lab = RayLabel(C, D, q)
+                    X = yamamoto_numerators(lab, mcf, mcf.m)
+                    want_Gammas, nus, ds = residue_data_oracle(spec, lab, r)
+                    assert Gammas == want_Gammas
+                    assert X == [q * nu for nu in nus]
+                    assert X[1:] == [q * x for x in yamamoto_xy(lab, mcf, mcf.m).xs]
+                    steps = [(X[G + 2] - X[G + 1] - 1) % q + 1 for G in Gammas[:-1]]
+                    assert steps == [q * d for d in ds]
+                    cases += 1
+    assert cases == sum(q * (q * q - 1) for q in range(2, 12))
 
 
 def test_progression_sum_equals_fraction_sum():
-    # oracle: the kernel summed on Fraction coordinates x_i = <nu + i*d>
+    # oracle: the series summed on Fraction coordinates x_i = <nu + i*d>
     for q in range(2, 8):
         for dX in range(1, q + 1):
             for X0 in range(1, q + 1):
@@ -100,7 +145,8 @@ def test_progression_sum_equals_fraction_sum():
                          for i in range(1, count + 1)),
                         Fraction(0),
                     )
-                    assert _progression_sum(count, d, nu, q) == want
+                    got = _progression_sum(count, dX, X0, q)
+                    assert type(got) is int and Fraction(got, 12 * q * q) == want
 
 
 def test_A_im_linear_family():
@@ -108,6 +154,12 @@ def test_A_im_linear_family():
     spec = PRESETS["rd-n2p2"].with_q(2)
     assert A_im(spec, 0, 1, 1) == 2
     assert A_im(spec, 1, 1, 1) == 1
+    # a_0(n) = 8n^2 + 8n + 2 at q = 3: a_0(3k+r)/3 = 24k^2 + (16r + 8)k + ...
+    quartic = PRESETS["quartic-16n4"].with_q(3)
+    for r in range(3):
+        assert A_im(quartic, 0, 1, r) == 16 * r + 8
+        assert A_im(quartic, 0, 2, r) == 24
+        assert type(A_im(quartic, 0, 2, r)) is int
 
 
 def test_coeffs_closed_sum_matches_direct_value():

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from rayzeta.contfrac import minus_cf
 from rayzeta.exactmath import LimitError
 from rayzeta.quadfield import (
     ModuleBasis,
     QuadField,
+    UnitSearchError,
     conj,
     coords_in_basis,
     eval_coords,
@@ -120,12 +122,12 @@ def test_coords_round_trip():
 def test_fundamental_unit_small_fields():
     K3 = QuadField(3)
     basis3 = ModuleBasis(K3.elem(2, 1))
-    eps3 = fundamental_unit_totally_positive(basis3)
+    eps3 = fundamental_unit_totally_positive(basis3, minus_cf(basis3.delta))
     assert eps3 == K3.elem(2, 1)
 
     K11 = QuadField(11)
     basis11 = ModuleBasis(K11.elem(10, 3))
-    eps11 = fundamental_unit_totally_positive(basis11)
+    eps11 = fundamental_unit_totally_positive(basis11, minus_cf(basis11.delta))
     assert eps11 == K11.elem(10, 3)
 
 
@@ -133,7 +135,7 @@ def test_fundamental_unit_properties():
     for delta_pair, Delta in [((2, 1), 3), ((10, 3), 11), ((3, 1), 6)]:
         K = QuadField(Delta)
         basis = ModuleBasis(K.elem(*delta_pair))
-        eps = fundamental_unit_totally_positive(basis)
+        eps = fundamental_unit_totally_positive(basis, minus_cf(basis.delta))
         assert norm(eps) == 1
         assert is_totally_positive(eps)
         u, v = coords_in_basis(eps, basis)
@@ -143,7 +145,7 @@ def test_fundamental_unit_properties():
 def test_unit_index_lambda_counts_orbit_period():
     K = QuadField(3)
     basis = ModuleBasis(K.elem(2, 1))
-    eps = fundamental_unit_totally_positive(basis)
+    eps = fundamental_unit_totally_positive(basis, minus_cf(basis.delta))
     for q in (2, 3, 5):
         lam = unit_index_lambda(eps, q, basis)
         # eps^lam must have coordinates congruent to (1, 0) mod q,
@@ -154,3 +156,14 @@ def test_unit_index_lambda_counts_orbit_period():
             u, v = coords_in_basis(power, basis)
             hit = (u - 1) % q == 0 and v % q == 0
             assert hit == (j == lam)
+
+
+def test_unit_index_lambda_is_bounded_by_q_squared():
+    K = QuadField(11)
+    basis = ModuleBasis(K.elem(10, 3))
+    eps = fundamental_unit_totally_positive(basis, minus_cf(basis.delta))
+    for q in range(2, 12):
+        assert 1 <= unit_index_lambda(eps, q, basis) <= q * q - 1
+    # 2 is not a unit: its powers never return to 1 modulo 2*[1, delta]
+    with pytest.raises(UnitSearchError):
+        unit_index_lambda(K.elem(2), 2, basis)

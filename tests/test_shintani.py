@@ -17,6 +17,7 @@ from rayzeta.shintani import (
     orbit,
     partial_zeta0,
     xy_direct,
+    yamamoto_numerators,
     yamamoto_xy,
 )
 
@@ -110,6 +111,22 @@ def test_yamamoto_equals_direct_solve():
                 assert xy_direct(lab, i, pts, ctx.basis) == (seq.xs[i], seq.ys[i])
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_yamamoto_numerators_equal_q_times_xy(name):
+    for q in (2, 3, 5, 7):
+        spec = PRESETS[name].with_q(q)
+        for n in (n for n in range(spec.n_range[0], spec.n_range[0] + 4) if usable(spec, n)):
+            mcf = instantiate(spec, n).ctx.mcf
+            count = 2 * mcf.m + 1
+            for C in range(q):
+                for D in range(q):
+                    if (C, D) == (0, 0):
+                        continue
+                    lab = RayLabel(C, D, q)
+                    xs = yamamoto_xy(lab, mcf, count).xs
+                    assert yamamoto_numerators(lab, mcf, count) == [q - C] + [q * x for x in xs]
+
+
 def test_partial_zeta_anchor_values():
     ctx = anchor_ctx()
     assert partial_zeta0(ctx, RayLabel(1, 0, 2)) == Fraction(1, 6)
@@ -136,8 +153,6 @@ def test_partial_zeta_rejects_labels_outside_f_delta():
 
 def test_max_terms_cap(monkeypatch):
     K = QuadField(3)
-    with pytest.raises(RuntimeError):
-        ConeContext(ModuleBasis(K.elem(2, 1)), 2, max_terms=1)
     monkeypatch.setenv("RAYZETA_MAX_TERMS", "1")
     with pytest.raises(RuntimeError):
         ConeContext(ModuleBasis(K.elem(2, 1)), 2)
