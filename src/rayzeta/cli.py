@@ -193,10 +193,17 @@ def family_from_args(args) -> FamilySpec:
 # report rendering
 
 
+def fraction_str(obj) -> str:
+    """A Fraction as "num/den"; also the `default` hook of `render_json`."""
+    if not isinstance(obj, Fraction):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return f"{obj.numerator}/{obj.denominator}"
+
+
 def jsonable(obj):
     """Recursively convert a report to JSON-safe data; Fractions -> "num/den"."""
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
+        return fraction_str(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -205,7 +212,8 @@ def jsonable(obj):
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
+    """Every report key is a str, so json's own key sort matches `jsonable`."""
+    return json.dumps(report, sort_keys=True, indent=2, default=fraction_str) + "\n"
 
 
 def render_csv(report: dict) -> str:
@@ -246,6 +254,7 @@ def cmd_zeta(args) -> int:
     spec = family_from_args(args)
     if args.n is None:
         raise ConfigError("zeta requires --n")
+    want = parse_label(args.label, spec.q) if args.label is not None else None
     report = {
         "command": "zeta",
         "family": spec.name,
@@ -263,8 +272,7 @@ def cmd_zeta(args) -> int:
         return EXIT_OK
     ctx = inst.ctx
     labels = f_delta(ctx)
-    if args.label is not None:
-        want = parse_label(args.label, spec.q)
+    if want is not None:
         labels = [lab for lab in labels if lab == want]
         if not labels:
             raise ConfigError(f"label {args.label} is not in F_delta")
@@ -395,6 +403,8 @@ def cmd_verify(args) -> int:
             raise ConfigError("q must be >= 2")
         overrides["qs"] = (args.q,)
     if args.n_max is not None:
+        if args.n_max < 1:
+            raise ConfigError("n-max must be >= 1")
         overrides["n_max"] = args.n_max
     rows = [run_criterion(name, **overrides) for name in names]
     report = {

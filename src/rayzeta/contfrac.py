@@ -31,7 +31,7 @@ class PeriodicCF:
     terms: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.terms or any(a < 1 for a in self.terms):
+        if not self.terms or min(self.terms) < 1:
             raise ValueError("plus CF terms must be positive integers")
 
     @property
@@ -46,7 +46,7 @@ class MinusCF:
     terms: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.terms or any(b < 2 for b in self.terms):
+        if not self.terms or min(self.terms) < 2:
             raise ValueError("minus CF terms must be >= 2")
 
     @property

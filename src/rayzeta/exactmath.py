@@ -5,8 +5,10 @@ All arithmetic is exact rational; no floats appear anywhere in a
 computational path.  The zeta series runs on integers: every Yamamoto
 coordinate is X/q with X in [1, q], so each series term is an integer
 numerator over the fixed denominator 12q^2 (`term12`), and a sum becomes
-a `Fraction` only once, at the end.  `bernoulli1` and `bernoulli2` are the
-`Fraction` forms that the tests check `term12` against.
+a `Fraction` only once, at the end.  `term12` is the one per-term kernel;
+`shintani.progression_sum` sums a whole run of 2s in the minus CF with it.
+`bernoulli1` and `bernoulli2` are the `Fraction` forms that the tests check
+`term12` against.
 """
 
 from __future__ import annotations

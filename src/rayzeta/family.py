@@ -10,7 +10,9 @@ The closed forms need only residue-level data: the index rule
 `contfrac.plus_to_minus` applied to the residues gamma_i of the a_i(r) mod q,
 and the integer Yamamoto recursion `shintani.yamamoto_numerators` over that
 minus CF, the same recursion `partial_zeta0` sums.  Every coefficient is an
-integer numerator over 12q^2, built with the series kernel `term12`.
+integer numerator over 12q^2, built with the per-term kernel `term12` at the
+special terms and the run kernel `shintani.progression_sum` along the runs of
+2s between them, the same two kernels `partial_zeta0` walks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,14 @@ from math import comb
 from .contfrac import PeriodicCF, cf_value, plus_to_minus, s_indices
 from .exactmath import residue_one, residue_zero, term12
 from .quadfield import ModuleBasis, is_squarefree
-from .shintani import ConeContext, RayLabel, orbit, partial_zeta0, yamamoto_numerators
+from .shintani import (
+    ConeContext,
+    RayLabel,
+    orbit,
+    partial_zeta0,
+    progression_sum,
+    yamamoto_numerators,
+)
 
 Poly = tuple[int, ...]  # integer polynomial, ascending coefficients
 
@@ -193,24 +202,6 @@ def A_im(spec: FamilySpec, i: int, m: int, r: int) -> int:
     return sum(a[j] * comb(j, m) * spec.q ** (m - 1) * r ** (j - m) for j in range(m, len(a)))
 
 
-def _progression_sum(count: int, dX: int, X0: int, q: int) -> int:
-    """12q^2 times the sum of -B1(x_i)B1(x_{i-1}) + B2(x_i) for i = 1..count
-    along the arithmetic progression x_i = X_i/q, X_i = <X0 + i*dX>_q in [1, q].
-
-    Inside a segment the Yamamoto sequence is exactly such a progression, so
-    the one-q-period block (count = q) and the gamma-1 tail are both
-    instances of this sum; the block value repeats for every q-window
-    because X_{i+q} = X_i.
-    """
-    total = 0
-    prev = X0
-    for i in range(1, count + 1):
-        cur = residue_one(X0 + i * dX, q)
-        total += term12(2, cur, prev, q)
-        prev = cur
-    return total
-
-
 def coeffs_closed(spec: FamilySpec, label: RayLabel, r: int) -> list[Fraction]:
     """Contribution [B^0, ..., B^d] of one orbit member (A, B) to the k-form
     coefficients, from the residue-level data alone (no n enters).
@@ -231,7 +222,7 @@ def coeffs_closed(spec: FamilySpec, label: RayLabel, r: int) -> list[Fraction]:
     X = yamamoto_numerators(label, plus_to_minus(rcf, validate=False), Gammas[-1])
     starts = [X[G + 1] for G in Gammas]
     steps = [residue_one(X[G + 2] - X[G + 1], q) for G in Gammas[:-1]]
-    blocks = [_progression_sum(q, steps[l], starts[l], q) for l in range(J)]
+    blocks = [progression_sum(q, steps[l], starts[l], q) for l in range(J)]
 
     # constant coefficient: the special terms b = a_{2l}(r) + 2, then per
     # segment tau_{2l+1} full blocks and a tail of gamma_{2l+1} - 1 steps
@@ -242,7 +233,7 @@ def coeffs_closed(spec: FamilySpec, label: RayLabel, r: int) -> list[Fraction]:
     for l in range(J):
         tail = Gammas[l + 1] - Gammas[l] - 1
         c0 += taus[(2 * l + 1) % s] * blocks[l]
-        c0 += _progression_sum(tail, steps[l], starts[l], q)
+        c0 += progression_sum(tail, steps[l], starts[l], q)
     out = [c0]
 
     # k^m coefficients, m >= 1

@@ -1,6 +1,12 @@
 """Cone decomposition for a single real quadratic field: ray-class labels,
 the unit action and its orbits, boundary lattice points, the Yamamoto
 fractional-coordinate recursion, and exact partial zeta values at s = 0.
+
+The zeta series is summed run by run.  A minus CF is a few terms > 2
+separated by runs of 2s; inside a run the Yamamoto numerators form an
+arithmetic progression mod q, so `progression_sum` adds a run of any length
+in O(q).  Each context splits one period into such steps once
+(`series_steps`); `term12` remains the per-term kernel.
 """
 
 from __future__ import annotations
@@ -8,6 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 from .contfrac import MinusCF, minus_cf
@@ -22,6 +29,8 @@ from .quadfield import (
 )
 
 MAX_TERMS_DEFAULT = 10**6
+
+Step = tuple[int, int, int]  # (b_{j-1}, b_j, k): k series steps, see series_steps
 
 
 class LabelError(ValueError):
@@ -59,6 +68,7 @@ class ConeContext:
     basis: ModuleBasis
     q: int
     mcf: MinusCF = dc_field(init=False)
+    steps: tuple[Step, ...] = dc_field(init=False)
     eps: QuadElem = dc_field(init=False)
     lam: int = dc_field(init=False)
 
@@ -71,6 +81,7 @@ class ConeContext:
         if self.q < 2:
             raise LabelError("q must be >= 2")
         self.mcf = minus_cf(self.basis.delta)
+        self.steps = series_steps(self.mcf.terms)
         self.eps = fundamental_unit_totally_positive(self.basis, self.mcf)
         self.lam = unit_index_lambda(self.eps, self.q, self.basis)
         if self.lam * self.mcf.m > max_terms:
@@ -199,16 +210,56 @@ def yamamoto_numerators(label: RayLabel, mcf: MinusCF, count: int) -> list[int]:
     return xs
 
 
-def _series12(C: int, D: int, q: int, terms: tuple[int, ...], count: int) -> int:
-    """12q^2 times the sum over i = 1..count of -B1(x_i)B1(x_{i-1}) +
-    (b_i/2)B2(x_i), streamed on the Yamamoto numerators X_i = q*x_i:
-    X_{-1} = q - C, X_0 = <D>_q, X_{i+1} = <b_i X_i - X_{i-1}>_q in [1, q]."""
-    m = len(terms)
+def progression_sum(count: int, dX: int, X0: int, q: int) -> int:
+    """12q^2 times the sum of -B1(x_i)B1(x_{i-1}) + B2(x_i) for i = 1..count
+    along the arithmetic progression x_i = X_i/q, X_i = <X0 + i*dX>_q in [1, q].
+
+    This is the series over a run of 2s in the minus CF, where the Yamamoto
+    recursion X_{i+1} = <2X_i - X_{i-1}>_q is exactly such a progression.
+    X_{i+q} = X_i, so the sum is count // q copies of the first q terms plus
+    the first count % q terms: O(min(count, q)) work.
+    """
+    head = total = 0
+    prev = X0
+    for i in range(1, min(count, q) + 1):
+        cur = residue_one(X0 + i * dX, q)
+        total += term12(2, cur, prev, q)
+        prev = cur
+        if i == count % q:
+            head = total
+    return total if count < q else count // q * total + head
+
+
+def series_steps(terms: tuple[int, ...]) -> tuple[Step, ...]:
+    """One period j = 1..m of the series as run-length steps.
+
+    Step j advances X_j = <b_{j-1} X_{j-1} - X_{j-2}>_q and adds the term with
+    b_j (indices mod m).  Consecutive steps with b_{j-1} = b_j = 2 merge into
+    one (2, 2, k) run; every other step is (b_{j-1}, b_j, 1).
+    """
+    steps: list[Step] = []
+    for pair, group in groupby(zip(terms, terms[1:] + terms[:1])):
+        k = len(list(group))
+        steps += [pair + (k,)] if pair == (2, 2) else [pair + (1,)] * k
+    return tuple(steps)
+
+
+def _series12(C: int, D: int, q: int, steps: tuple[Step, ...], periods: int) -> int:
+    """12q^2 times the sum over i = 1..periods*m of -B1(x_i)B1(x_{i-1}) +
+    (b_i/2)B2(x_i), on the Yamamoto numerators X_i = q*x_i from X_{-1} = q - C,
+    X_0 = <D>_q.  A run of k 2s is one `progression_sum` with step
+    d = <X_i - X_{i-1}>_q, after which the state jumps k places ahead."""
     x_prev, x = q - C, residue_one(D, q)
     total = 0
-    for i in range(count):
-        x_prev, x = x, residue_one(terms[i % m] * x - x_prev, q)
-        total += term12(terms[(i + 1) % m], x, x_prev, q)
+    for _ in range(periods):
+        for b_prev, b, k in steps:
+            if k == 1:
+                x_prev, x = x, residue_one(b_prev * x - x_prev, q)
+                total += term12(b, x, x_prev, q)
+            else:
+                d = (x - x_prev) % q
+                total += progression_sum(k, d, x, q)
+                x_prev, x = residue_one(x + (k - 1) * d, q), residue_one(x + k * d, q)
     return total
 
 
@@ -217,14 +268,15 @@ def partial_zeta0(ctx: ConeContext, label: RayLabel) -> Fraction:
 
     Computed both as the single sum over i = 1..lambda*m and as the
     orbit-decomposed double sum; the two integer numerators over 12q^2
-    must agree.
+    must agree.  Both walk the context's run-length `steps`, so the cost is
+    O(lambda * steps * q), not O(lambda * m).
     """
     if gcd(ctx.label_norm(label), ctx.q) != 1:
         raise LabelError("label lies outside F_delta")
-    q, terms, m = label.q, ctx.mcf.terms, ctx.mcf.m
-    single = _series12(label.C, label.D, q, terms, ctx.lam * m)
+    q, steps = label.q, ctx.steps
+    single = _series12(label.C, label.D, q, steps, ctx.lam)
     by_orbit = sum(
-        _series12(member.C, member.D, q, terms, m) for member in orbit(label, ctx)
+        _series12(member.C, member.D, q, steps, 1) for member in orbit(label, ctx)
     )
     denom = 12 * q * q
     if by_orbit != single:

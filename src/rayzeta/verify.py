@@ -301,7 +301,10 @@ def run_criterion(name: str, **overrides) -> dict:
     kwargs = {key: value for key, value in overrides.items() if key in params}
     start = time.perf_counter()
     try:
-        result = {"passed": True, "checked": fn(**kwargs)}
+        checked = fn(**kwargs)
+        result = {"passed": checked > 0, "checked": checked}
+        if not checked:
+            result["detail"] = "nothing was compared"
     except Mismatch as e:
         result = {"passed": False, "detail": str(e)}
     result.update(

@@ -342,3 +342,22 @@ def test_parser_is_built_on_first_use_only():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.splitlines()[-1].split() == ["0", "1", "1"]
+
+
+@pytest.mark.parametrize("n", ["1", "5"])  # f(5) = 27 is not squarefree
+@pytest.mark.parametrize("label", ["0,0", "9,9"])
+def test_zeta_bad_label_is_config_error_before_the_field(capsys, n, label):
+    argv = ["zeta", "--preset", "rd-n2p2", "--n", n, "--q", "3", "--label", label]
+    assert run_err(capsys, argv) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+def test_verify_n_max_below_one_is_config_error(capsys, n_max):
+    argv = ["verify", "--criterion", "A1", "--n-max", n_max]
+    assert run_err(capsys, argv) == EXIT_CONFIG
+
+
+def test_verify_check_that_compared_nothing_fails():
+    row = verify.run_criterion("A1", n_max=0)
+    assert (row["passed"], row["checked"]) == (False, 0)
+    assert row["detail"] == "nothing was compared"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rayzeta.contfrac import PeriodicCF, plus_to_minus, s_indices
-from rayzeta.exactmath import bernoulli1, bernoulli2, frac_unit
+from rayzeta.exactmath import frac_unit
 from rayzeta.family import (
     A_im,
     FamilySpec,
@@ -13,7 +13,6 @@ from rayzeta.family import (
     NonSquarefreeSkip,
     PRESETS,
     QuasiPoly,
-    _progression_sum,
     coeffs_closed,
     first_instances,
     fit_oracle,
@@ -130,23 +129,6 @@ def test_residue_data_equals_yamamoto_xy(name):
                     assert steps == [q * d for d in ds]
                     cases += 1
     assert cases == sum(q * (q * q - 1) for q in range(2, 12))
-
-
-def test_progression_sum_equals_fraction_sum():
-    # oracle: the series summed on Fraction coordinates x_i = <nu + i*d>
-    for q in range(2, 8):
-        for dX in range(1, q + 1):
-            for X0 in range(1, q + 1):
-                d, nu = Fraction(dX, q), Fraction(X0, q)
-                xs = [frac_unit(nu + i * d) for i in range(2 * q + 1)]
-                for count in range(2 * q + 1):
-                    want = sum(
-                        (-bernoulli1(xs[i]) * bernoulli1(xs[i - 1]) + bernoulli2(xs[i])
-                         for i in range(1, count + 1)),
-                        Fraction(0),
-                    )
-                    got = _progression_sum(count, dX, X0, q)
-                    assert type(got) is int and Fraction(got, 12 * q * q) == want
 
 
 def test_A_im_linear_family():

@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rayzeta.exactmath import bernoulli1, bernoulli2
+from rayzeta.exactmath import bernoulli1, bernoulli2, frac_unit, residue_one, term12
 from rayzeta.family import PRESETS, instantiate, usable
 from rayzeta.quadfield import ModuleBasis, QuadField, coords_in_basis
 from rayzeta.shintani import (
@@ -14,8 +15,11 @@ from rayzeta.shintani import (
     boundary_points,
     eps_act,
     f_delta,
+    _series12,
     orbit,
     partial_zeta0,
+    progression_sum,
+    series_steps,
     xy_direct,
     yamamoto_numerators,
     yamamoto_xy,
@@ -180,3 +184,65 @@ def test_partial_zeta_equals_fraction_sum_on_a3_grid(name):
             ctx = instantiate(spec, n).ctx
             for lab in f_delta(ctx):
                 assert partial_zeta0(ctx, lab) == yamamoto_single_sum(ctx, lab), (q, n, lab)
+
+
+def per_term_series12(C, D, q, terms, count):
+    """Oracle: the series streamed one term at a time over i = 1..count."""
+    m = len(terms)
+    x_prev, x = q - C, residue_one(D, q)
+    total = 0
+    for i in range(count):
+        x_prev, x = x, residue_one(terms[i % m] * x - x_prev, q)
+        total += term12(terms[(i + 1) % m], x, x_prev, q)
+    return total
+
+
+def test_progression_sum_equals_fraction_sum():
+    # oracle: the series summed on Fraction coordinates x_i = <nu + i*d>
+    for q in range(2, 8):
+        for dX in range(1, q + 1):
+            for X0 in range(1, q + 1):
+                d, nu = Fraction(dX, q), Fraction(X0, q)
+                xs = [frac_unit(nu + i * d) for i in range(5 * q + 1)]
+                want = Fraction(0)
+                for count in range(5 * q + 1):
+                    if count:
+                        want += -bernoulli1(xs[count]) * bernoulli1(xs[count - 1])
+                        want += bernoulli2(xs[count])
+                    got = progression_sum(count, dX, X0, q)
+                    assert type(got) is int and Fraction(got, 12 * q * q) == want
+
+
+def test_series_steps_merge_runs_of_twos():
+    # step j pairs b_{j-1} with b_j, indices mod m
+    assert series_steps((22, 2, 2, 2)) == ((22, 2, 1), (2, 2, 2), (2, 22, 1))
+    # the run across the period end stays a separate last step
+    assert series_steps((2, 5, 2)) == ((2, 5, 1), (5, 2, 1), (2, 2, 1))
+    assert series_steps((4,)) == ((4, 4, 1),)
+
+
+@st.composite
+def run_length_cfs(draw):
+    """(q, terms): minus-CF periods of terms >= 2 whose runs of 2s have length
+    0..5q, starting and ending with a run so that one can straddle the period
+    end."""
+    q = draw(st.integers(2, 11))
+    runs = st.integers(0, 5 * q)
+    terms = [2] * draw(runs)
+    for _ in range(draw(st.integers(1, 3))):
+        terms.append(draw(st.integers(2, 30)))
+        terms += [2] * draw(runs)
+    return q, tuple(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_length_cfs(), st.integers(1, 4))
+def test_run_length_series_equals_per_term_stream(cf, periods):
+    q, terms = cf
+    steps = series_steps(terms)
+    assert sum(k for _, _, k in steps) == len(terms)
+    for C in range(q):
+        for D in range(q):
+            if (C, D) != (0, 0):
+                want = per_term_series12(C, D, q, terms, periods * len(terms))
+                assert _series12(C, D, q, steps, periods) == want, (C, D)
