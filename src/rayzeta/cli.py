@@ -39,7 +39,6 @@ from .shintani import (
     LimitError,
     RayLabel,
     f_delta,
-    orbit,
     partial_zeta0,
 )
 
@@ -285,8 +284,8 @@ def cmd_zeta(args) -> int:
             "C": lab.C,
             "D": lab.D,
             "value": partial_zeta0(ctx, lab),
-            "norm_mod_q": residue_zero(ctx.label_norm(lab), spec.q),
-            "orbit": [[o.C, o.D] for o in orbit(lab, ctx)],
+            "norm_mod_q": residue_zero(ctx.norm_of(lab), spec.q),
+            "orbit": [[o.C, o.D] for o in ctx.orbit_of(lab)],
             "lambda": ctx.lam,
             "m": ctx.mcf.m,
         })
@@ -389,7 +388,7 @@ def cmd_lfunc(args) -> int:
 
 def cmd_verify(args) -> int:
     # Imported here so that the other subcommands never load the suite.
-    from .verify import CRITERIA, run_criterion
+    from .verify import CRITERIA, check_params, run_criterion
 
     names = sorted(CRITERIA)
     if args.criterion:
@@ -406,6 +405,14 @@ def cmd_verify(args) -> int:
         if args.n_max < 1:
             raise ConfigError("n-max must be >= 1")
         overrides["n_max"] = args.n_max
+    taken = set().union(*(check_params(name) for name in names))
+    unused = [flag for key, flag in (("qs", "--q"), ("n_max", "--n-max"))
+              if key in overrides and key not in taken]
+    if unused:
+        raise ConfigError(
+            f"{', '.join(unused)}: taken by none of the selected criteria "
+            f"({', '.join(names)})"
+        )
     rows = [run_criterion(name, **overrides) for name in names]
     report = {
         "command": "verify",

@@ -4,12 +4,19 @@ Plus expansions [[a_0,...,a_{s-1}]] follow x -> 1/(x - floor(x)); minus
 (ceiling) expansions ((b_0,...,b_{m-1})) follow x -> 1/(ceil(x) - x).
 Period detection is by exact repetition of the algebraic state, never by
 floating point.
+
+A minus CF is held run-length encoded, as runs (b, k) of k equal terms: in a
+family the period is a few terms > 2 separated by runs of 2s whose length
+grows with n, while the number of runs does not.  `minus_cf` crosses a whole
+run of 2s in one step, so an expansion costs O(runs), not O(m); the m-term
+tuple is built only where a caller asks for `MinusCF.terms`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 from .exactmath import LimitError
@@ -39,19 +46,55 @@ class PeriodicCF:
         return len(self.terms)
 
 
+Run = tuple[int, int]  # (b, k): k consecutive minus-CF terms equal to b
+
+
+def _push(runs: list[Run], b: int, k: int) -> None:
+    """Append k terms b to `runs`, merged into the last run if it has b."""
+    if runs and runs[-1][0] == b:
+        runs[-1] = (b, runs[-1][1] + k)
+    elif k:
+        runs.append((b, k))
+
+
 @dataclass(frozen=True)
 class MinusCF:
-    """One period of a periodic minus (ceiling) continued fraction."""
+    """One period of a periodic minus (ceiling) continued fraction, as runs
+    (b, k) of k equal terms b; neighbouring runs have different b."""
 
-    terms: tuple[int, ...]
+    runs: tuple[Run, ...]
 
     def __post_init__(self):
-        if not self.terms or min(self.terms) < 2:
-            raise ValueError("minus CF terms must be >= 2")
+        if not self.runs:
+            raise ValueError("a minus CF period needs at least one run")
+        prev = None
+        for b, k in self.runs:
+            if b < 2 or k < 1:
+                raise ValueError("minus CF runs must be (b, k) with b >= 2, k >= 1")
+            if b == prev:
+                raise ValueError("neighbouring minus CF runs must differ in b")
+            prev = b
+
+    @classmethod
+    def from_runs(cls, runs) -> "MinusCF":
+        """The canonical runs: k = 0 dropped, neighbours with equal b merged."""
+        out: list[Run] = []
+        for b, k in runs:
+            _push(out, b, k)
+        return cls(tuple(out))
+
+    @cached_property
+    def m(self) -> int:
+        """The period length: the number of terms, not of runs."""
+        return sum(k for _, k in self.runs)
 
     @property
-    def m(self) -> int:
-        return len(self.terms)
+    def terms(self) -> tuple[int, ...]:
+        """The m terms b_0..b_{m-1}, built on each call: O(m)."""
+        terms: list[int] = []
+        for b, k in self.runs:
+            terms += [b] * k
+        return tuple(terms)
 
 
 def _is_plus_reduced(x: QuadElem) -> bool:
@@ -93,12 +136,19 @@ def _surd_state(x: QuadElem) -> tuple[int, int, int]:
 
 
 def minus_cf(x: QuadElem, max_period: int = 10**6) -> MinusCF:
-    """Periodic minus CF of x computed by the ceiling algorithm.
+    """Periodic minus CF of x computed by the ceiling algorithm, run by run.
 
     Requires x > 1 and 0 < x' < 1 (reduced for the minus expansion).  Runs
     on the integer state x = (P + sqrt(D))/Q, for which Q > 0 and
     Q | D - P^2 hold throughout: each step is b = ceil(x) =
     (P + isqrt(D))//Q + 1, P <- bQ - P, Q <- (P^2 - D)/Q.
+
+    A run of 2s is crossed in one step.  While b = 2, s = 1/(x - 1) =
+    (Q - P + sqrt(D))/R with R = (D - (P - Q)^2)/Q, and each 2 lowers s by
+    1, so the run has k = floor(s) terms and ends at x = 1 + 1/(s - k).
+    The period is found by exact repetition of (P, Q); a start inside a run
+    (x < 2) is found as one of that run's values of s.  `max_period` bounds
+    the number of terms, not of runs, and is checked before they are stored.
     """
     if x.is_rational:
         raise NotReducedError("rational numbers have no periodic minus expansion")
@@ -108,21 +158,43 @@ def minus_cf(x: QuadElem, max_period: int = 10**6) -> MinusCF:
     if not (Q > 0 and r >= Q - P and P > r and r >= P - Q):
         raise NotReducedError("x must satisfy x > 1 and 0 < x' < 1")
     P0, Q0 = P, Q
-    terms = []
-    append = terms.append
-    for _ in range(max_period):
-        b = (P + r) // Q + 1
-        append(b)
-        P = b * Q - P
-        Q = (P * P - D) // Q
-        if P == P0 and Q == Q0:
-            return MinusCF(tuple(terms))
-    raise LimitError(f"minus CF period not found within {max_period} terms")
+    R0 = (D - (P - Q) ** 2) // Q  # the start's s is (Q0 - P0 + sqrt(D))/R0
+    runs: list[Run] = []
+    m = 0
+    while True:
+        closed = False
+        if P + r < 2 * Q:  # x < 2: a run of 2s, from s = (Ps + sqrt(D))/R
+            R = (D - (P - Q) ** 2) // Q
+            Ps = Q - P
+            b, k = 2, (Ps + r) // R
+            j, rest = divmod(Ps - (Q0 - P0), R)
+            if R == R0 and rest == 0 and 0 < j < k:
+                closed, k = True, j  # the start lies inside this run
+            else:
+                Ps -= k * R
+                Q = (D - Ps * Ps) // R
+                P = Q - Ps
+        else:
+            b, k = (P + r) // Q + 1, 1
+            P = b * Q - P
+            Q = (P * P - D) // Q
+        m += k
+        closed = closed or (P == P0 and Q == Q0)
+        if m > max_period:
+            raise LimitError(f"minus CF period not found within {max_period} terms")
+        _push(runs, b, k)
+        if closed:
+            return MinusCF(tuple(runs))
 
 
-def cf_value(cf: PeriodicCF) -> QuadElem:
+def cf_value(cf: PeriodicCF, radicand: int | None = None) -> QuadElem:
     """The value of the purely periodic plus CF, as the root > 1 of its
-    one-period fixed-point equation, in the field with squarefree radicand."""
+    one-period fixed-point equation, in the field with squarefree radicand.
+
+    A caller that has already certified a squarefree `radicand` passes it:
+    when the discriminant is radicand * c^2 no trial division is run.
+    Otherwise the radicand is the discriminant's squarefree part.
+    """
     p_prev, p_cur = 1, cf.terms[0]  # p_{-1}, p_0
     q_prev, q_cur = 0, 1
     for a in cf.terms[1:]:
@@ -131,9 +203,11 @@ def cf_value(cf: PeriodicCF) -> QuadElem:
     # x = (p_cur x + p_prev) / (q_cur x + q_prev)
     A, B, C = q_cur, q_prev - p_cur, -p_prev
     disc = B * B - 4 * A * C
-    d0 = squarefree_part(disc)
-    c = isqrt(disc // d0)
-    field = QuadField(d0)
+    c = isqrt(disc // radicand) if radicand else 0
+    if not radicand or radicand * c * c != disc:
+        radicand = squarefree_part(disc)
+        c = isqrt(disc // radicand)
+    field = QuadField(radicand)
     root = field.elem(Fraction(-B, 2 * A), Fraction(c, 2 * A))
     if not (root > field.elem(1)):
         raise RuntimeError("fixed-point root selection failed")
@@ -158,17 +232,18 @@ def s_indices(cf: PeriodicCF) -> list[int]:
 def plus_to_minus(cf: PeriodicCF, validate: bool = True) -> MinusCF:
     """Minus CF of 1 + value(cf) via the index rule: b_i = a_{2j} + 2 at
     i = S_j, b_i = 2 otherwise, with period m = S_{s/2} (even s) or S_s (odd s).
+    So each pair (a_{2j}, a_{2j+1}) gives the runs (a_{2j} + 2, 1) and
+    (2, a_{2j+1} - 1): O(s) work for any m.
 
     Cross-validated against the direct ceiling algorithm; the direct
     algorithm is authoritative and a mismatch raises.
     """
     s = cf.s
-    S = s_indices(cf)
-    m = S[-1]
-    terms = [2] * m
-    for j in range(pair_count(s)):
-        terms[S[j]] = cf.terms[(2 * j) % s] + 2
-    result = MinusCF(tuple(terms))
+    result = MinusCF.from_runs(
+        run
+        for j in range(pair_count(s))
+        for run in ((cf.terms[2 * j % s] + 2, 1), (2, cf.terms[(2 * j + 1) % s] - 1))
+    )
     if validate:
         delta = cf_value(cf) + 1
         direct = minus_cf(delta)

@@ -145,7 +145,7 @@ def instantiate(spec: FamilySpec, n: int) -> FieldInstance:
     if any(t < 1 for t in terms):
         raise HypothesisError(f"a_i({n}) = {terms} has a term < 1")
     cf = PeriodicCF(terms)
-    val = cf_value(cf)
+    val = cf_value(cf, fn)  # f(n) is certified squarefree above
     if val.field.Delta != fn:
         raise HypothesisError(
             f"Q(delta({n})) has radicand {val.field.Delta}, expected f({n}) = {fn}"

@@ -280,11 +280,19 @@ def fundamental_unit_totally_positive(basis: ModuleBasis, mcf) -> QuadElem:
     Obtained from one period `mcf` of the minus continued fraction of delta
     via the boundary-point recurrence P_{i+1} = b_i P_i - P_{i-1}: after m
     steps P_m = eps^{-1}.  The recurrence runs on the integer coordinates of
-    P_i in [1, delta], starting at P_{-1} = delta, P_0 = 1.
+    P_i in [1, delta], starting at P_{-1} = delta, P_0 = 1.  A run of k 2s is
+    one arithmetic step, P_{i+k} = P_i + k(P_i - P_{i-1}), so the cost is
+    O(runs) for runs of 2s plus one step per term > 2.
     """
     (u_prev, v_prev), (u, v) = (0, 1), (1, 0)
-    for b in mcf.terms:
-        u_prev, v_prev, u, v = u, v, b * u - u_prev, b * v - v_prev
+    for b, k in mcf.runs:
+        if b == 2:
+            du, dv = u - u_prev, v - v_prev
+            u_prev, v_prev = u + (k - 1) * du, v + (k - 1) * dv
+            u, v = u + k * du, v + k * dv
+            continue
+        for _ in range(k):
+            u_prev, v_prev, u, v = u, v, b * u - u_prev, b * v - v_prev
     one = basis.field.elem(1)
     eps = eval_coords(u, v, basis).inverse()
     if norm(eps) != 1 or not is_totally_positive(eps) or not (eps > one):

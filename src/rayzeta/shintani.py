@@ -2,11 +2,15 @@
 the unit action and its orbits, boundary lattice points, the Yamamoto
 fractional-coordinate recursion, and exact partial zeta values at s = 0.
 
-The zeta series is summed run by run.  A minus CF is a few terms > 2
-separated by runs of 2s; inside a run the Yamamoto numerators form an
-arithmetic progression mod q, so `progression_sum` adds a run of any length
-in O(q).  Each context splits one period into such steps once
-(`series_steps`); `term12` remains the per-term kernel.
+Everything a context needs is built run by run.  A minus CF is a few
+terms > 2 separated by runs of 2s, and `contfrac.minus_cf` returns it as
+runs (b, k).  From the runs a context takes the unit (a run of 2s is one
+arithmetic step of the boundary-point recurrence), its series steps
+(`series_steps`) and the lambda*m cap, so it costs O(runs), not O(m), and
+never builds the m-term tuple.  Inside a run of 2s the Yamamoto numerators
+form an arithmetic progression mod q, so `progression_sum` adds a run of
+any length in O(q); `term12` remains the per-term kernel.  A context also
+keeps each label's norm and orbit once computed (`norm_of`, `orbit_of`).
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import groupby
 from math import gcd
 
-from .contfrac import MinusCF, minus_cf
+from .contfrac import MinusCF, Run, minus_cf
 from .exactmath import LimitError, frac_unit, residue_one, residue_zero, term12
 from .quadfield import (
     ModuleBasis,
@@ -71,6 +74,8 @@ class ConeContext:
     steps: tuple[Step, ...] = dc_field(init=False)
     eps: QuadElem = dc_field(init=False)
     lam: int = dc_field(init=False)
+    _norms: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    _orbits: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = os.environ.get("RAYZETA_MAX_TERMS", str(MAX_TERMS_DEFAULT))
@@ -81,13 +86,13 @@ class ConeContext:
         if self.q < 2:
             raise LabelError("q must be >= 2")
         self.mcf = minus_cf(self.basis.delta)
-        self.steps = series_steps(self.mcf.terms)
         self.eps = fundamental_unit_totally_positive(self.basis, self.mcf)
         self.lam = unit_index_lambda(self.eps, self.q, self.basis)
         if self.lam * self.mcf.m > max_terms:
             raise LimitError(
                 f"lambda*m = {self.lam * self.mcf.m} exceeds cap {max_terms}"
             )
+        self.steps = series_steps(self.mcf.runs)
 
     def label_norm(self, label: RayLabel) -> int:
         """Norm of the integral ideal (C + D*delta)*b, a positive integer."""
@@ -95,6 +100,18 @@ class ConeContext:
         if n.denominator != 1:
             raise LabelError("(C+D*delta)*b is not integral; basis data malformed")
         return abs(int(n))
+
+    def norm_of(self, label: RayLabel) -> int:
+        """`label_norm`, computed once per label on this context."""
+        if label not in self._norms:
+            self._norms[label] = self.label_norm(label)
+        return self._norms[label]
+
+    def orbit_of(self, label: RayLabel) -> list[RayLabel]:
+        """`orbit`, computed once per label on this context."""
+        if label not in self._orbits:
+            self._orbits[label] = orbit(label, self)
+        return self._orbits[label]
 
 
 def f_delta(ctx: ConeContext) -> list[RayLabel]:
@@ -107,7 +124,7 @@ def f_delta(ctx: ConeContext) -> list[RayLabel]:
             if (C, D) == (0, 0):
                 continue
             label = RayLabel(C, D, q)
-            if gcd(ctx.label_norm(label), q) == 1:
+            if gcd(ctx.norm_of(label), q) == 1:
                 out.append(label)
     return out
 
@@ -146,10 +163,10 @@ def boundary_points(basis: ModuleBasis, mcf: MinusCF, count: int) -> list[QuadEl
 
     Index shift: returned[i] is P_{i-1}.
     """
+    terms, m = mcf.terms, mcf.m
     pts = [basis.delta, basis.field.elem(1)]
     for i in range(count):
-        b = mcf.terms[i % mcf.m]
-        pts.append(b * pts[-1] - pts[-2])
+        pts.append(terms[i % m] * pts[-1] - pts[-2])
     return pts
 
 
@@ -163,12 +180,12 @@ class XYSeq:
 
 def yamamoto_xy(label: RayLabel, mcf: MinusCF, count: int) -> XYSeq:
     """x_0 = <D/q>, y_0 = C/q, x_{i+1} = <b_i x_i - x_{i-1}> with x_{-1} = (q-C)/q."""
-    q = label.q
+    q, terms, m = label.q, mcf.terms, mcf.m
     x_prev = Fraction(q - label.C, q)  # x_{-1} = 1 - y_0
     xs = [frac_unit(Fraction(label.D, q))]
     ys = [Fraction(label.C, q)]
     for i in range(count):
-        b = mcf.terms[i % mcf.m]
+        b = terms[i % m]
         x_next = frac_unit(b * xs[-1] - x_prev)
         x_prev = xs[-1]
         xs.append(x_next)
@@ -230,17 +247,24 @@ def progression_sum(count: int, dX: int, X0: int, q: int) -> int:
     return total if count < q else count // q * total + head
 
 
-def series_steps(terms: tuple[int, ...]) -> tuple[Step, ...]:
-    """One period j = 1..m of the series as run-length steps.
+def series_steps(runs: tuple[Run, ...]) -> tuple[Step, ...]:
+    """One period j = 1..m of the series as run-length steps, from the runs
+    (b, k) of the minus CF: O(runs) plus one step per term > 2.
 
     Step j advances X_j = <b_{j-1} X_{j-1} - X_{j-2}>_q and adds the term with
     b_j (indices mod m).  Consecutive steps with b_{j-1} = b_j = 2 merge into
-    one (2, 2, k) run; every other step is (b_{j-1}, b_j, 1).
+    one (2, 2, k) run; every other step is (b_{j-1}, b_j, 1).  A run (b, k)
+    holds k - 1 steps (b, b) and then one step (b, b'), b' the next run's b;
+    a last run of 2s followed by a first run of 2s is one (2, 2, k) step.
     """
     steps: list[Step] = []
-    for pair, group in groupby(zip(terms, terms[1:] + terms[:1])):
-        k = len(list(group))
-        steps += [pair + (k,)] if pair == (2, 2) else [pair + (1,)] * k
+    for (b, k), (b_next, _) in zip(runs, runs[1:] + runs[:1]):
+        if b == b_next == 2:  # the last run of 2s runs on into the first
+            steps.append((2, 2, k))
+            continue
+        if k > 1:
+            steps += [(2, 2, k - 1)] if b == 2 else [(b, b, 1)] * (k - 1)
+        steps.append((b, b_next, 1))
     return tuple(steps)
 
 
@@ -269,14 +293,15 @@ def partial_zeta0(ctx: ConeContext, label: RayLabel) -> Fraction:
     Computed both as the single sum over i = 1..lambda*m and as the
     orbit-decomposed double sum; the two integer numerators over 12q^2
     must agree.  Both walk the context's run-length `steps`, so the cost is
-    O(lambda * steps * q), not O(lambda * m).
+    O(lambda * steps * q), not O(lambda * m).  The label's norm and orbit
+    come from the context's memo.
     """
-    if gcd(ctx.label_norm(label), ctx.q) != 1:
+    if gcd(ctx.norm_of(label), ctx.q) != 1:
         raise LabelError("label lies outside F_delta")
     q, steps = label.q, ctx.steps
     single = _series12(label.C, label.D, q, steps, ctx.lam)
     by_orbit = sum(
-        _series12(member.C, member.D, q, steps, 1) for member in orbit(label, ctx)
+        _series12(member.C, member.D, q, steps, 1) for member in ctx.orbit_of(label)
     )
     denom = 12 * q * q
     if by_orbit != single:

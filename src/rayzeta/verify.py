@@ -294,10 +294,17 @@ CRITERIA = {
 }
 
 
+def check_params(name: str) -> set[str]:
+    """The keyword arguments that a criterion's check accepts."""
+    return set(inspect.signature(CRITERIA[name][1]).parameters)
+
+
 def run_criterion(name: str, **overrides) -> dict:
-    """Run one criterion, passing only the overrides its check accepts."""
+    """Run one criterion, passing only the overrides its check accepts.
+
+    `rayzeta verify` refuses a flag that no selected criterion accepts."""
     description, fn = CRITERIA[name]
-    params = inspect.signature(fn).parameters
+    params = check_params(name)
     kwargs = {key: value for key, value in overrides.items() if key in params}
     start = time.perf_counter()
     try:

@@ -293,6 +293,7 @@ def test_cli_import_leaves_verify_unloaded():
 @pytest.mark.parametrize("n", [
     "10000000000",  # f(n) is past the squarefree certification bound
     "2000000000",  # the minus-CF period is past max_period
+    "999999",  # lambda*m = 2*999999 is past RAYZETA_MAX_TERMS
 ])
 def test_size_limits_are_config_errors(capsys, n):
     assert run_err(capsys, ["zeta", "--preset", "rd-n2p2", "--n", n]) == EXIT_CONFIG
@@ -361,3 +362,46 @@ def test_verify_check_that_compared_nothing_fails():
     row = verify.run_criterion("A1", n_max=0)
     assert (row["passed"], row["checked"]) == (False, 0)
     assert row["detail"] == "nothing was compared"
+
+
+def test_verify_flag_that_no_selected_criterion_takes_is_config_error(capsys):
+    argv = ["verify", "--criterion", "A7,A9", "--q", "3", "--n-max", "5"]
+    assert run_err(capsys, argv) == EXIT_CONFIG
+    main(argv)
+    assert capsys.readouterr().err == (
+        "error: --q, --n-max: taken by none of the selected criteria (A7, A9)\n")
+
+
+def test_verify_q_over_all_criteria(capsys):
+    code, out = run(capsys, ["verify", "--q", "3"])
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert [row["criterion"] for row in rows] == sorted(verify.CRITERIA)
+    assert all(row["passed"] for row in rows)
+
+
+def test_zeta_computes_each_norm_and_orbit_once(capsys, monkeypatch):
+    from collections import Counter
+
+    from rayzeta import shintani
+
+    calls = Counter()
+    label_norm, orbit = shintani.ConeContext.label_norm, shintani.orbit
+
+    def counted_norm(ctx, label):
+        calls["norm", label.C, label.D] += 1
+        return label_norm(ctx, label)
+
+    def counted_orbit(label, ctx):
+        calls["orbit", label.C, label.D] += 1
+        return orbit(label, ctx)
+
+    monkeypatch.setattr(shintani.ConeContext, "label_norm", counted_norm)
+    monkeypatch.setattr(shintani, "orbit", counted_orbit)
+    code, out = run(capsys, ["zeta", "--preset", "quartic-16n4", "--q", "5", "--n", "3"])
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 20 and max(calls.values()) == 1
+    assert {(C, D) for kind, C, D in calls if kind == "orbit"} == {
+        (row["C"], row["D"]) for row in rows}
+    assert sum(kind == "norm" for kind, _, _ in calls) == 24  # every (C, D) != (0, 0)

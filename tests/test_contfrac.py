@@ -1,6 +1,7 @@
 """Tests for plus and minus continued fractions and their conversion."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from rayzeta.contfrac import (
     MinusCF,
     NotReducedError,
     PeriodicCF,
+    _surd_state,
     cf_value,
     minus_cf,
     pair_count,
@@ -18,7 +20,12 @@ from rayzeta.contfrac import (
 )
 from rayzeta.exactmath import LimitError
 from rayzeta.family import PRESETS, poly_eval
-from rayzeta.quadfield import QuadField
+from rayzeta.quadfield import (
+    ModuleBasis,
+    QuadField,
+    eval_coords,
+    fundamental_unit_totally_positive,
+)
 
 
 def ceiling_expansion(x, max_period=10**4):
@@ -32,6 +39,32 @@ def ceiling_expansion(x, max_period=10**4):
         if cur == start:
             return tuple(terms)
     raise AssertionError("oracle found no period")
+
+
+def run_length(terms):
+    return MinusCF.from_runs((b, 1) for b in terms)
+
+
+def per_term_minus_cf(x):
+    """Oracle: the integer ceiling algorithm one term at a time."""
+    P, D, Q = _surd_state(x)
+    r, P0, Q0, terms = isqrt(D), P, Q, []
+    while True:
+        b = (P + r) // Q + 1
+        terms.append(b)
+        P = b * Q - P
+        Q = (P * P - D) // Q
+        if P == P0 and Q == Q0:
+            return tuple(terms)
+
+
+def per_term_unit(basis, terms):
+    """Oracle: the boundary-point recurrence P_{i+1} = b_i P_i - P_{i-1}
+    one term at a time, on the coordinates in [1, delta]; P_m = eps^{-1}."""
+    (u_prev, v_prev), (u, v) = (0, 1), (1, 0)
+    for b in terms:
+        u_prev, v_prev, u, v = u, v, b * u - u_prev, b * v - v_prev
+    return eval_coords(u, v, basis).inverse()
 
 
 def minus_cf_value(terms):
@@ -48,9 +81,16 @@ def test_term_validation():
     with pytest.raises(ValueError):
         PeriodicCF((2, 0))
     with pytest.raises(ValueError):
-        MinusCF((2, 1))
+        run_length((2, 1))
+    with pytest.raises(ValueError):
+        MinusCF(((4, 1), (4, 2)))  # neighbouring runs with equal b
+    with pytest.raises(ValueError):
+        MinusCF(((4, 0),))
     assert PeriodicCF((2, 1)).s == 2
-    assert MinusCF((4,)).m == 1
+    assert run_length((4,)).m == 1
+    mcf = run_length((2, 2, 5, 3, 3, 2))
+    assert mcf.runs == ((2, 2), (5, 1), (3, 2), (2, 1))
+    assert (mcf.m, mcf.terms) == (6, (2, 2, 5, 3, 3, 2))
 
 
 def test_plus_cf_golden_like():
@@ -91,6 +131,12 @@ def test_cf_value_round_trip_from_terms():
     cf = PeriodicCF((2, 1))
     x = cf_value(cf)
     assert plus_cf(x).terms == (2, 1)
+
+
+def test_cf_value_takes_a_certified_radicand():
+    cf = PeriodicCF((2, 1))  # 1 + sqrt(3); the discriminant is 12 = 3 * 2^2
+    assert cf_value(cf, 3) == cf_value(cf) == QuadField(3).elem(1, 1)
+    assert cf_value(cf, 5).field.Delta == 3  # 12 is not 5c^2: trial division decides
 
 
 def test_pair_count():
@@ -168,3 +214,66 @@ def test_period_limits_raise_limit_error():
         minus_cf(minus_cf_value((4, 3)), max_period=1)
     with pytest.raises(LimitError):
         plus_cf(QuadField(3).elem(1, 1), max_period=1)  # [[2, 1]], period 2
+
+
+@st.composite
+def periods_with_runs(draw):
+    """Minus-CF periods of 1..3 terms > 2, each followed by a run of 2s of
+    length 0..40, and starting with one: when that first run is not empty
+    the surd is < 2 and the period ends inside the run that it starts in."""
+    terms = [2] * draw(st.integers(0, 40))
+    for _ in range(draw(st.integers(1, 3))):
+        terms.append(draw(st.integers(3, 12)))
+        terms += [2] * draw(st.integers(0, 40))
+    return tuple(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(periods_with_runs())
+def test_run_length_minus_cf_equals_ceiling_oracle(period):
+    x = minus_cf_value(period)
+    mcf = minus_cf(x)
+    assert mcf.terms == ceiling_expansion(x)
+    assert mcf == run_length(mcf.terms)
+    assert mcf.terms * (len(period) // mcf.m) == period
+
+
+@settings(max_examples=100, deadline=None)
+@given(periods_with_runs())
+def test_unit_from_runs_equals_per_term_recurrence(period):
+    x = minus_cf_value(period)
+    basis = ModuleBasis(x)
+    want = per_term_unit(basis, per_term_minus_cf(x))
+    assert fundamental_unit_totally_positive(basis, minus_cf(x)) == want
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_run_length_minus_cf_and_unit_on_presets(name):
+    spec = PRESETS[name]
+    for n in range(max(spec.n_range[0], 1), 401):
+        cf = PeriodicCF(tuple(poly_eval(a, n) for a in spec.a_polys))
+        delta = cf_value(cf) + 1
+        mcf = minus_cf(delta)
+        terms = per_term_minus_cf(delta)
+        assert mcf.terms == terms and mcf == plus_to_minus(cf, validate=False), n
+        basis = ModuleBasis(delta)
+        assert fundamental_unit_totally_positive(basis, mcf) == per_term_unit(basis, terms), n
+
+
+def test_period_limit_counts_terms_not_runs():
+    x = minus_cf_value((5,) + (2,) * 9)  # 10 terms in 2 runs
+    assert minus_cf(x, max_period=10).runs == ((5, 1), (2, 9))
+    with pytest.raises(LimitError):
+        minus_cf(x, max_period=9)
+    y = minus_cf_value((2,) * 4 + (5,) + (2,) * 5)  # y < 2: starts inside a run
+    assert minus_cf(y, max_period=10).runs == ((2, 4), (5, 1), (2, 5))
+    with pytest.raises(LimitError):
+        minus_cf(y, max_period=9)
+    # rd-n2p2 at n = 10^12, delta = n + 1 + sqrt(n^2 + 2): m = n, refused
+    # after one jump of the run of 2s
+    n = 10**12
+    delta = QuadField(n * n + 2).elem(n + 1, 1)
+    with pytest.raises(LimitError):
+        minus_cf(delta)
+    assert minus_cf(delta, max_period=n) == plus_to_minus(PeriodicCF((2 * n, n)), validate=False)
+    assert minus_cf(delta, max_period=n).runs == ((2 * n + 2, 1), (2, n - 1))

@@ -63,6 +63,13 @@ def test_instantiate_builds_expected_field():
     assert inst.r == 1 and inst.k == 0
 
 
+def test_instantiate_reports_a_radicand_that_differs_from_f():
+    # f(1) = 5 is squarefree, but delta(1) - 1 = [[2, 1]] is 1 + sqrt(3)
+    spec = FamilySpec("wrong-f", (5,), ((0, 2), (0, 1)), 2, (0, 10))
+    with pytest.raises(HypothesisError, match=r"radicand 3, expected f\(1\) = 5"):
+        instantiate(spec, 1)
+
+
 def test_sample_ks_respects_range_and_squarefreeness():
     spec = PRESETS["rd-n2p2"]  # n_range starts at 1
     usable, skipped = sample_ks(spec, 0, range(4))

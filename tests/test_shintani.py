@@ -1,12 +1,14 @@
 """Tests for labels, orbits, boundary points, and exact zeta values."""
 
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rayzeta.contfrac import MinusCF
 from rayzeta.exactmath import bernoulli1, bernoulli2, frac_unit, residue_one, term12
-from rayzeta.family import PRESETS, instantiate, usable
+from rayzeta.family import PRESETS, get_preset, instantiate, usable
 from rayzeta.quadfield import ModuleBasis, QuadField, coords_in_basis
 from rayzeta.shintani import (
     ConeContext,
@@ -213,12 +215,16 @@ def test_progression_sum_equals_fraction_sum():
                     assert type(got) is int and Fraction(got, 12 * q * q) == want
 
 
+def steps_of(terms):
+    return series_steps(MinusCF.from_runs((b, 1) for b in terms).runs)
+
+
 def test_series_steps_merge_runs_of_twos():
     # step j pairs b_{j-1} with b_j, indices mod m
-    assert series_steps((22, 2, 2, 2)) == ((22, 2, 1), (2, 2, 2), (2, 22, 1))
+    assert steps_of((22, 2, 2, 2)) == ((22, 2, 1), (2, 2, 2), (2, 22, 1))
     # the run across the period end stays a separate last step
-    assert series_steps((2, 5, 2)) == ((2, 5, 1), (5, 2, 1), (2, 2, 1))
-    assert series_steps((4,)) == ((4, 4, 1),)
+    assert steps_of((2, 5, 2)) == ((2, 5, 1), (5, 2, 1), (2, 2, 1))
+    assert steps_of((4,)) == ((4, 4, 1),)
 
 
 @st.composite
@@ -239,10 +245,39 @@ def run_length_cfs(draw):
 @given(run_length_cfs(), st.integers(1, 4))
 def test_run_length_series_equals_per_term_stream(cf, periods):
     q, terms = cf
-    steps = series_steps(terms)
+    steps = steps_of(terms)
     assert sum(k for _, _, k in steps) == len(terms)
     for C in range(q):
         for D in range(q):
             if (C, D) != (0, 0):
                 want = per_term_series12(C, D, q, terms, periods * len(terms))
                 assert _series12(C, D, q, steps, periods) == want, (C, D)
+
+
+def per_term_series_steps(terms):
+    """Oracle: the steps built by walking all m terms, merging (2, 2) pairs."""
+    steps = []
+    for pair, group in groupby(zip(terms, terms[1:] + terms[:1])):
+        k = len(list(group))
+        steps += [pair + (k,)] if pair == (2, 2) else [pair + (1,)] * k
+    return tuple(steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_length_cfs())
+def test_series_steps_from_runs_equal_per_term_steps(cf):
+    _, terms = cf
+    assert steps_of(terms) == per_term_series_steps(terms)
+
+
+def test_context_never_builds_the_term_tuple(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the m-term tuple was built")
+
+    monkeypatch.setattr(MinusCF, "terms", property(refuse))
+    spec = get_preset("quartic-16n4", 7)
+    ctx = instantiate(spec, 300).ctx  # m = 601, lambda = 4
+    assert (ctx.mcf.m, ctx.lam) == (601, 4)
+    assert sum(k for _, _, k in ctx.steps) == ctx.mcf.m
+    for lab in f_delta(ctx)[:3]:
+        partial_zeta0(ctx, lab)
