@@ -16,6 +16,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .contfrac import ConversionMismatchError, NotReducedError
 from .exactmath import residue_zero
@@ -193,26 +194,58 @@ def family_from_args(args) -> FamilySpec:
 
 
 def fraction_str(obj) -> str:
-    """A Fraction as "num/den"; also the `default` hook of `render_json`."""
+    """A Fraction as "num/den"; TypeError for any other type, so that it can
+    serve as the `default` hook of `json.dumps` (as in `render_csv`)."""
     if not isinstance(obj, Fraction):
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
     return f"{obj.numerator}/{obj.denominator}"
 
 
-def jsonable(obj):
-    """Recursively convert a report to JSON-safe data; Fractions -> "num/den"."""
+def _json_text(obj, indent: str) -> str:
+    """The text of `obj` in `json.dumps(..., sort_keys=True, indent=2,
+    default=fraction_str)`, for a value whose first line is indented by
+    `indent`.  Dict keys must be str, as every report key is."""
+    if type(obj) is int:
+        return repr(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)  # json's own escaping
     if isinstance(obj, Fraction):
-        return fraction_str(obj)
+        return encode_basestring_ascii(fraction_str(obj))
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"report key {key!r} is not a str")
+            value = _json_text(obj[key], inner)
+            items.append(f"{inner}{encode_basestring_ascii(key)}: {value}")
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if {*map(type, obj)} == {int}:  # bools and int subclasses take the slow path
+            # A minus CF has m terms but few distinct values: format each once.
+            text = {v: inner + repr(v) for v in {*obj}}
+            body = ",\n".join(map(text.__getitem__, obj))
+        else:
+            body = ",\n".join([inner + _json_text(v, inner) for v in obj])
+        return "[\n" + body + "\n" + indent + "]"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    # None, floats (NaN and infinities included), int subclasses; TypeError otherwise
+    return json.dumps(obj)
 
 
 def render_json(report: dict) -> str:
-    """Every report key is a str, so json's own key sort matches `jsonable`."""
-    return json.dumps(report, sort_keys=True, indent=2, default=fraction_str) + "\n"
+    """The report as `json.dumps(report, sort_keys=True, indent=2,
+    default=fraction_str) + "\n"`, byte for byte, without json's pure-Python
+    indenting encoder."""
+    return _json_text(report, "") + "\n"
 
 
 def render_csv(report: dict) -> str:
@@ -227,8 +260,12 @@ def render_csv(report: dict) -> str:
     for row in rows:
         flat = {}
         for k in fieldnames:
-            v = jsonable(row.get(k, ""))
-            flat[k] = json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
+            v = row.get(k, "")
+            if isinstance(v, (dict, list, tuple)):
+                v = json.dumps(v, sort_keys=True, default=fraction_str)
+            elif isinstance(v, Fraction):
+                v = fraction_str(v)
+            flat[k] = v
         writer.writerow(flat)
     return buf.getvalue()
 
@@ -276,7 +313,7 @@ def cmd_zeta(args) -> int:
         if not labels:
             raise ConfigError(f"label {args.label} is not in F_delta")
     report["Delta"] = ctx.basis.delta.field.Delta
-    report["minus_cf"] = list(ctx.mcf.terms)
+    report["minus_cf"] = ctx.mcf.terms
     report["lambda"] = ctx.lam
     report["m"] = ctx.mcf.m
     for lab in labels:

@@ -3,6 +3,12 @@
 Elements are pairs of Fractions (a, b) representing a + b*sqrt(Delta).
 All comparisons and sign decisions are made with integer arithmetic only
 (compare a^2 against Delta*b^2), never with floating point.
+
+Squarefree certification (`is_squarefree`, `squarefree_part`) is trial
+division by p up to min(n^(1/3), bound): a cofactor below p^3 with no prime
+factor below p is 1, a prime, a prime square or a product of two distinct
+primes, and an integer square root tells these apart.  A cofactor left at
+the bound is certified only below bound^3; beyond that is a `LimitError`.
 """
 
 from __future__ import annotations
@@ -32,14 +38,16 @@ def is_perfect_square(n: int) -> bool:
 def squarefree_part(n: int, bound: int = 10**6) -> int:
     """Largest squarefree divisor d of n > 0 with n = d * m^2.
 
-    Factors by trial division; raises if a cofactor survives that cannot
-    be certified with primes up to `bound`.
+    Trial division by p while p^3 <= n and p <= bound.  A cofactor left
+    below bound^3 (always the case at the cube-root stop) is 1, a square, a
+    prime or a product of two distinct primes; a larger one raises
+    `LimitError`.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     d = 1
     p = 2
-    while p * p <= n and p <= bound:
+    while p * p * p <= n and p <= bound:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -50,32 +58,34 @@ def squarefree_part(n: int, bound: int = 10**6) -> int:
         p += 1 if p == 2 else 2
     if n > 1:
         if is_perfect_square(n):
-            pass  # n = m^2 with prime factors > bound
-        elif n < bound * bound * bound and not is_perfect_square(n):
-            d *= n  # prime or product of two distinct primes > bound
+            pass  # n = r^2 adds nothing to d
+        elif n < bound * bound * bound:
+            d *= n  # a prime or two distinct primes
         else:
             raise LimitError(f"cannot certify squarefree part beyond bound {bound}")
     return d
 
 
 def is_squarefree(n: int, bound: int = 10**6) -> bool:
-    """Trial-division squarefree test; raises beyond the certification bound."""
+    """Squarefree test by trial division while p^3 <= n and p <= bound;
+    raises `LimitError` if the cofactor left at the bound is not a square
+    and not below bound^3.  False for n <= 0."""
     if n <= 0:
         return False
     p = 2
-    while p * p <= n and p <= bound:
+    while p * p * p <= n and p <= bound:
         if n % (p * p) == 0:
             return False
         if n % p == 0:
             n //= p
         p += 1 if p == 2 else 2
+    # the cofactor has no prime factor below p
     if p * p > n:
-        return True
-    # remaining cofactor has prime factors > bound
+        return True  # 1 or a prime
     if is_perfect_square(n):
         return False
     if n < bound * bound * bound:
-        return True
+        return True  # two distinct primes (n < p^3 <= bound^3 at the cube root)
     raise LimitError(f"cannot certify squarefreeness beyond bound {bound}")
 
 

@@ -8,21 +8,23 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rayzeta
-from rayzeta import verify
+from rayzeta import cli, verify
 from rayzeta.cli import (
     ConfigError,
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
     EXIT_INTERNAL,
     EXIT_OK,
-    jsonable,
+    fraction_str,
     main,
     parse_char,
     parse_k_range,
     parse_label,
     parse_poly,
+    render_csv,
     render_json,
 )
 from fractions import Fraction
@@ -59,8 +61,10 @@ def test_parse_char():
 
 
 def test_rationals_serialized_as_strings():
-    assert jsonable(Fraction(-5, 12)) == "-5/12"
-    assert jsonable({"v": [Fraction(1, 6)]}) == {"v": ["1/6"]}
+    report = {"w": Fraction(-5, 12), "v": [Fraction(1, 6)]}
+    assert json.loads(render_json(report)) == {"w": "-5/12", "v": ["1/6"]}
+    rows = render_csv({"rows": [report, {"v": {"b": Fraction(1, 2), "a": 1}}]}).splitlines()
+    assert rows == ["v,w", '"[""1/6""]",-5/12', '"{""a"": 1, ""b"": ""1/2""}",']
 
 
 def test_zeta_report_anchor(capsys):
@@ -218,6 +222,64 @@ def test_out_file(tmp_path, capsys):
 def test_render_json_sorted_keys():
     text = render_json({"b": Fraction(1, 2), "a": 1})
     assert text.index('"a"') < text.index('"b"')
+
+
+def json_dumps_report(report) -> str:
+    return json.dumps(report, sort_keys=True, indent=2, default=fraction_str) + "\n"
+
+
+# str keys with non-ASCII letters, quotes, backslashes and control characters
+report_keys = st.text(alphabet=st.characters(codec="utf-8"), max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\n\t\x00\x1f", "\u00e9\u03b4", "\U0001d400"])
+report_scalars = (
+    st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+    | st.fractions()
+    | report_keys
+)
+report_trees = st.recursive(
+    report_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.lists(st.integers(-3, 3), max_size=8)  # the all-int join
+        | st.lists(st.integers(-3, 3) | st.booleans(), max_size=8)  # ints mixed with bools
+        | st.dictionaries(report_keys, inner, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_trees)
+def test_render_json_equals_json_dumps(tree):
+    assert render_json(tree) == json_dumps_report(tree)
+
+
+@pytest.mark.parametrize("argv", [
+    "zeta --preset rd-n2p2 --q 2 --n 777",
+    "zeta --preset quartic-16n4 --q 5 --n 3",
+    "zeta --preset rd-n2p2 --q 3 --n 4",  # the skip path
+    "family --preset rd-n2p2 --q 3",
+    "lfunc --preset rd-n2p2 --q 5 --char 5:4:2=1",
+    "verify --criterion A7",
+])
+def test_json_report_equals_json_dumps_of_its_dict(capsys, monkeypatch, argv):
+    reports = []
+
+    def recording(report):
+        reports.append(report)
+        return render_json(report)
+
+    monkeypatch.setattr(cli, "render_json", recording)
+    code, out = run(capsys, argv.split())
+    assert code == EXIT_OK
+    assert len(reports) == 1
+    assert out == json_dumps_report(reports[0])
 
 
 def test_verify_single_criterion(capsys):

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rayzeta.contfrac import minus_cf
 from rayzeta.exactmath import LimitError
@@ -45,6 +46,75 @@ def test_squarefree_part():
     assert squarefree_part(27) == 3
     assert squarefree_part(50) == 2
     assert squarefree_part(30) == 30
+
+
+def smallest_prime_factors(limit: int) -> list[int]:
+    spf = list(range(limit))
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if spf[i] == i:
+            for j in range(i * i, limit, i):
+                if spf[j] == j:
+                    spf[j] = i
+    return spf
+
+
+SPF = smallest_prime_factors(2 * 10**5)
+PRIMES = [p for p in range(2, len(SPF)) if SPF[p] == p]
+
+
+def naive_squarefree(n: int) -> tuple[bool, int]:
+    """(is n squarefree, squarefree part of n) from a full factorisation."""
+    squarefree, part = True, 1
+    while n > 1:
+        p, e = SPF[n], 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        squarefree &= e == 1
+        part *= p if e % 2 else 1
+    return squarefree, part
+
+
+def test_squarefree_matches_factorisation_below_2e5():
+    for n in range(1, len(SPF)):
+        assert (is_squarefree(n), squarefree_part(n)) == naive_squarefree(n), n
+
+
+def test_squarefree_of_one_and_nonpositive():
+    assert is_squarefree(1) and squarefree_part(1) == 1
+    for n in (0, -1, -4, -30):
+        assert not is_squarefree(n)
+        with pytest.raises(ValueError):
+            squarefree_part(n)
+
+
+# primes far below and far above the cube root of the products drawn from them
+primes = st.sampled_from(PRIMES[:25]) | st.sampled_from(PRIMES[1000:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(primes, primes, primes)
+def test_squarefree_of_prime_products(p, q, r):
+    assert is_squarefree(p * q) == (p != q)
+    assert squarefree_part(p * q) == (1 if p == q else p * q)
+    assert not is_squarefree(p * p)
+    assert squarefree_part(p * p) == 1
+    assert not is_squarefree(p * p * r)
+    assert squarefree_part(p * p * r) == (p if p == r else r)
+
+
+def test_squarefree_stops_at_the_bound_before_the_cube_root():
+    # bound 10: trial division ends at p = 11 although 7 * 997 >= 11^3
+    assert is_squarefree(7 * 997, bound=10)  # cofactor 997 < 10^3
+    assert squarefree_part(7 * 997, bound=10) == 7 * 997
+    assert not is_squarefree(17 * 17, bound=3)  # a square cofactor past the bound
+    assert squarefree_part(17 * 17 * 2, bound=3) == 2
+    # 17 * 59 < 11^3 would be settled at a cube-root stop, but the cap comes
+    # first and the cofactor is not below bound^3 = 1000
+    with pytest.raises(LimitError):
+        is_squarefree(17 * 59, bound=10)
+    with pytest.raises(LimitError):
+        squarefree_part(17 * 59, bound=10)
 
 
 def test_perfect_square_detection():
