@@ -8,6 +8,7 @@ from .family import (
     FieldInstance,
     QuasiPoly,
     PRESETS,
+    ResidueContext,
     fit_oracle,
     get_preset,
     instantiate,

@@ -25,9 +25,9 @@ from .family import (
     HypothesisError,
     NonSquarefreeSkip,
     PRESETS,
+    ResidueContext,
     VerificationError,
     denom_bounds_ok,
-    first_instances,
     fit_oracle,
     instantiate,
     k_to_n_form,
@@ -346,8 +346,8 @@ def cmd_family(args) -> int:
     exit_code = EXIT_OK
     for r in range(spec.q):
         try:
-            inst = first_instances(spec, r, 1)[0]
-            labels = f_delta(inst.ctx)
+            rctx = ResidueContext(spec, r)
+            labels = f_delta(rctx)
         except HypothesisError as e:
             report["failures"].append({"r": r, "error": str(e)})
             exit_code = EXIT_HYPOTHESIS
@@ -356,7 +356,7 @@ def cmd_family(args) -> int:
             if want is not None and lab != want:
                 continue
             try:
-                qp = quasi_poly(spec, lab, r)
+                qp = quasi_poly(spec, lab, r, rctx)
             except HypothesisError as e:
                 report["failures"].append(
                     {"r": r, "C": lab.C, "D": lab.D, "error": str(e)}

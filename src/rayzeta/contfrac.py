@@ -23,6 +23,9 @@ from .exactmath import LimitError
 from .quadfield import QuadElem, QuadField, conj, squarefree_part
 
 
+MAX_PERIOD = 10**6  # default bound on a period's number of terms
+
+
 class NotReducedError(ValueError):
     """Input surd fails the reduction hypothesis for the requested expansion."""
 
@@ -102,7 +105,7 @@ def _is_plus_reduced(x: QuadElem) -> bool:
     return x > one and -one / conj(x) > one
 
 
-def plus_cf(x: QuadElem, max_period: int = 10**6) -> PeriodicCF:
+def plus_cf(x: QuadElem, max_period: int = MAX_PERIOD) -> PeriodicCF:
     """Purely periodic plus CF of a reduced quadratic irrational.
 
     Rejects rational input and surds whose expansion has a preperiod.
@@ -135,7 +138,7 @@ def _surd_state(x: QuadElem) -> tuple[int, int, int]:
     return sign * A * L, B * B * x.field.Delta * L * L, sign * L * L
 
 
-def minus_cf(x: QuadElem, max_period: int = 10**6) -> MinusCF:
+def minus_cf(x: QuadElem, max_period: int = MAX_PERIOD) -> MinusCF:
     """Periodic minus CF of x computed by the ceiling algorithm, run by run.
 
     Requires x > 1 and 0 < x' < 1 (reduced for the minus expansion).  Runs
@@ -227,6 +230,15 @@ def s_indices(cf: PeriodicCF) -> list[int]:
     for j in range(1, pair_count(s) + 1):
         out.append(out[-1] + cf.terms[(2 * j - 1) % s])
     return out
+
+
+def minus_period(terms: tuple[int, ...]) -> int:
+    """The least period m of the minus CF of 1 + [[terms]], terms >= 1, in
+    O(s) per divisor of s: `s_indices`' last S_j on the primitive period (a
+    period repeated t times would give t*m)."""
+    s = len(terms)
+    p = next(p for p in range(1, s + 1) if s % p == 0 and terms == terms[:p] * (s // p))
+    return sum(terms[(2 * j - 1) % p] for j in range(1, pair_count(p) + 1))
 
 
 def plus_to_minus(cf: PeriodicCF, validate: bool = True) -> MinusCF:

@@ -13,17 +13,30 @@ minus CF, the same recursion `partial_zeta0` sums.  Every coefficient is an
 integer numerator over 12q^2, built with the per-term kernel `term12` at the
 special terms and the run kernel `shintani.progression_sum` along the runs of
 2s between them, the same two kernels `partial_zeta0` walks.
+
+The label side is residue-level too: `ResidueContext` holds the unit's
+matrix mod q, lambda, F_delta, the orbits and the label norms mod q, and
+`delta_trace_norm` decides the paper's norm invariance symbolically.  Fields
+are built only for the direct zeta values that check the closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
-from .contfrac import PeriodicCF, cf_value, plus_to_minus, s_indices
-from .exactmath import residue_one, residue_zero, term12
-from .quadfield import ModuleBasis, is_squarefree
+from .contfrac import (
+    MAX_PERIOD,
+    PeriodicCF,
+    cf_value,
+    minus_period,
+    plus_to_minus,
+    s_indices,
+)
+from .exactmath import LimitError, residue_one, residue_zero, term12
+from .quadfield import ModuleBasis, boundary_coords, is_squarefree, matrix_order
 from .shintani import (
     ConeContext,
     RayLabel,
@@ -66,6 +79,34 @@ def poly_degree(p: Poly) -> int:
         if c != 0:
             d = i
     return d
+
+
+def poly_add(p: Poly, p2: Poly, c: int = 1) -> Poly:
+    """p + c*p2."""
+    return tuple(a + c * b for a, b in zip_longest(p, p2, fillvalue=0))
+
+
+def poly_mul(p: Poly, p2: Poly) -> Poly:
+    out = [0] * (len(p) + len(p2) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(p2):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def poly_div(p: Poly, d: Poly) -> Poly | None:
+    """The quotient p/d when d divides p in Z[x], else None (d = 0 included)."""
+    top = poly_degree(d)
+    if d[top] == 0:
+        return None
+    rem, quot = list(p), [0] * max(len(p) - top, 1)
+    for i in reversed(range(len(p) - top)):
+        quot[i], bad = divmod(rem[i + top], d[top])
+        if bad:
+            return None  # the quotient in Q[x] has a non-integral coefficient
+        for j in range(top + 1):
+            rem[i + j] -= quot[i] * d[j]
+    return None if any(rem) else tuple(quot)
 
 
 @dataclass(frozen=True)
@@ -130,20 +171,58 @@ class FieldInstance:
         return self.n // self.spec.q
 
 
-def instantiate(spec: FamilySpec, n: int) -> FieldInstance:
-    """Build the field K_n = Q(sqrt(f(n))) with delta(n) = 1 + [[a_0(n),...]].
+def delta_trace_norm(spec: FamilySpec) -> tuple[Poly, Poly] | None:
+    """Trace and norm of delta(n) in Z[n], or None when the family's
+    hypothesis cannot be decided symbolically.
 
-    Raises NonSquarefreeSkip if f(n) is not squarefree and HypothesisError
-    if the instance violates the reduction hypotheses (delta > 2 etc.).
+    The product of [[a_i(n), 1], [1, 0]] over one period gives the equation
+    A x^2 + B x + C = 0 of x = delta(n) - 1.  If beta = B/2A and gamma = C/A
+    lie in Z[n] and beta^2 - gamma = f, then x = -beta + sqrt(f(n)): the
+    trace is 2 - 2 beta and the norm 1 - 2 beta + gamma.  So the norm
+    C'^2 + C'D' tr + D'^2 N of C' + D' delta(n) is in Z[n], and its value
+    mod q depends on n mod q only: the paper's norm invariance.
     """
+    p_prev, p = (1,), spec.a_polys[0]
+    q_prev, q = (0,), (1,)
+    for a in spec.a_polys[1:]:
+        p_prev, p = p, poly_add(poly_mul(a, p), p_prev)
+        q_prev, q = q, poly_add(poly_mul(a, q), q_prev)
+    # x = (p x + p_prev)/(q x + q_prev): A = q, B = q_prev - p, C = -p_prev
+    beta = poly_div(poly_add(q_prev, p, -1), poly_add(q, q))
+    gamma = poly_div(poly_add((0,), p_prev, -1), q)
+    if beta is None or gamma is None:
+        return None
+    if any(poly_add(poly_add(poly_mul(beta, beta), gamma, -1), spec.f_poly, -1)):
+        return None
+    return poly_add((2,), beta, -2), poly_add(poly_add((1,), beta, -2), gamma)
+
+
+def checked_terms(spec: FamilySpec, n: int) -> tuple[int, tuple[int, ...]]:
+    """f(n) and the terms a_i(n), after the checks of `instantiate` that
+    need no field.  The period limit comes before the costlier squarefree
+    certification."""
     fn = poly_eval(spec.f_poly, n)
     if fn <= 1:
         raise HypothesisError(f"f({n}) = {fn} is not a valid radicand")
+    terms = tuple(poly_eval(a, n) for a in spec.a_polys)
+    positive = min(terms) >= 1
+    if positive and minus_period(terms) > MAX_PERIOD:
+        raise LimitError(f"minus CF period not found within {MAX_PERIOD} terms")
     if not is_squarefree(fn):
         raise NonSquarefreeSkip(n, fn)
-    terms = tuple(poly_eval(a, n) for a in spec.a_polys)
-    if any(t < 1 for t in terms):
+    if not positive:
         raise HypothesisError(f"a_i({n}) = {terms} has a term < 1")
+    return fn, terms
+
+
+def instantiate(spec: FamilySpec, n: int) -> FieldInstance:
+    """Build the field K_n = Q(sqrt(f(n))) with delta(n) = 1 + [[a_0(n),...]].
+
+    Raises NonSquarefreeSkip if f(n) is not squarefree, HypothesisError
+    if the instance violates the reduction hypotheses (delta > 2 etc.), and
+    LimitError past a size limit (`checked_terms`, `ConeContext`).
+    """
+    fn, terms = checked_terms(spec, n)
     cf = PeriodicCF(terms)
     val = cf_value(cf, fn)  # f(n) is certified squarefree above
     if val.field.Delta != fn:
@@ -164,6 +243,26 @@ def usable(spec: FamilySpec, n: int) -> bool:
         return False
     fn = poly_eval(spec.f_poly, n)
     return fn > 1 and is_squarefree(fn)
+
+
+def residue_ns(spec: FamilySpec, r: int, limit: int):
+    """n = qk + r for k < limit, from the start of the family's range on."""
+    return (n for n in range(r, spec.q * limit + r, spec.q) if n >= spec.n_range[0])
+
+
+def first_usable(spec: FamilySpec, r: int, count: int, limit: int) -> list[int]:
+    """The first `count` n = qk + r, k < limit, in the family's range with
+    f(n) squarefree; `checked_terms` raises on each as `instantiate` would."""
+    out = []
+    for n in residue_ns(spec, r, limit):
+        if len(out) == count:
+            break
+        try:
+            checked_terms(spec, n)
+        except NonSquarefreeSkip:
+            continue
+        out.append(n)
+    return out
 
 
 def sample_ks(spec: FamilySpec, r: int, k_values) -> tuple[list[int], list[int]]:
@@ -192,6 +291,51 @@ def gamma_tau(spec: FamilySpec, r: int) -> tuple[list[int], list[int]]:
         gammas.append(g)
         taus.append((ai - g) // q)
     return gammas, taus
+
+
+class ResidueContext:
+    """The label side of every field K_n of the family with n = r mod q: the
+    unit's matrix on [1, delta] mod q (column action), lambda and the label
+    norms mod q, and so F_delta and the orbits through `shintani.f_delta`
+    and `shintani.orbit`, which it serves as a `ConeContext` would.
+
+    The matrix comes from the unit recurrence (`quadfield.boundary_coords`)
+    over the residue minus CF that `coeffs_closed` sums: a run of k 2s
+    enters it linearly in k, so mod q only k mod q matters.  The norms are
+    `delta_trace_norm` at r; a family it rejects takes them from its first
+    field with n = r mod q.  Raises HypothesisError, as
+    `first_instances(spec, r, 1)` does, when the residue holds no field.
+    """
+
+    def __init__(self, spec: FamilySpec, r: int):
+        q = self.q = spec.q
+        polys = delta_trace_norm(spec)
+        self.trace_norm = self.witness = None  # of delta mod q, or a field's context
+        if polys is None:
+            self.witness = first_instances(spec, r, 1)[0].ctx
+        elif not first_usable(spec, r, 1, 128):  # first_instances' limit
+            raise HypothesisError(f"could not find 1 squarefree instances for residue {r}")
+        else:
+            self.trace_norm = tuple(poly_eval(p, r) % q for p in polys)
+        rcf = PeriodicCF(tuple(gamma_tau(spec, r)[0]))
+        u1, v1, u, v = boundary_coords(plus_to_minus(rcf, validate=False).runs)
+        # columns (u, v), (u1, v1) are eps^-1 and eps^-1*delta; eps is the adjugate
+        self.matrix = ((v1 % q, -u1 % q), (-v % q, u % q))
+        self.lam = matrix_order(self.matrix, q)
+
+    def norm_of(self, label: RayLabel) -> int:
+        """The norm of (C + D*delta(n))*b mod q, the same for every n = r mod q."""
+        if self.witness is not None:
+            return self.witness.norm_of(label) % self.q
+        t, nd = self.trace_norm
+        C, D = label.C, label.D
+        return (C * C + C * D * t + D * D * nd) % self.q
+
+    def act(self, label: RayLabel) -> RayLabel:
+        """The label's image under the unit, as `shintani.eps_act` gives it."""
+        (a, b), (c, d) = self.matrix
+        C, D, q = label.C, label.D, self.q
+        return RayLabel((a * C + b * D) % q, (c * C + d * D) % q, q)
 
 
 def A_im(spec: FamilySpec, i: int, m: int, r: int) -> int:
@@ -327,43 +471,44 @@ def denom_bounds_ok(qp: QuasiPoly, r: int) -> bool:
 def norm_invariance_check(
     spec: FamilySpec, label: RayLabel, r: int, k_samples: int = 4
 ) -> bool:
-    """True iff the label's ideal norm mod q is the same for all sampled
-    n = qk + r (non-squarefree f(n) skipped transparently)."""
-    residues = set()
-    found = 0
-    k = 0
+    """True iff the label's ideal norm mod q is the same for every usable
+    n = qk + r.  HypothesisError unless at least two of the first
+    `k_samples` such n with k < max(8 k_samples, 64) exist.
+
+    Where `delta_trace_norm` decides the family's hypothesis the norm is an
+    integer polynomial in n, so the answer is True and no field is built.
+    Otherwise the norms of the sampled fields are compared (non-squarefree
+    f(n) skipped transparently).
+    """
     limit = max(k_samples * 8, 64)
-    while found < k_samples and k < limit:
-        n = spec.q * k + r
-        if n < spec.n_range[0]:
-            k += 1
-            continue
-        try:
-            inst = instantiate(spec, n)
-        except NonSquarefreeSkip:
-            k += 1
-            continue
-        residues.add(residue_zero(inst.ctx.label_norm(label), spec.q))
-        found += 1
-        k += 1
-    if found < 2:
+    if delta_trace_norm(spec) is not None:
+        samples, invariant = len(first_usable(spec, r, k_samples, limit)), True
+    else:
+        norms = []
+        for n in residue_ns(spec, r, limit):
+            if len(norms) == k_samples:
+                break
+            try:
+                inst = instantiate(spec, n)
+            except NonSquarefreeSkip:
+                continue
+            norms.append(residue_zero(inst.ctx.label_norm(label), spec.q))
+        samples, invariant = len(norms), len(set(norms)) == 1
+    if samples < 2:
         raise HypothesisError(f"fewer than two usable samples for r={r}")
-    return len(residues) == 1
+    return invariant
 
 
 def first_instances(spec: FamilySpec, r: int, count: int) -> list[FieldInstance]:
     """The first `count` usable instances with n congruent to r."""
     out = []
-    k = 0
-    limit = max(count * 16, 128)
-    while len(out) < count and k < limit:
-        n = spec.q * k + r
-        if n >= spec.n_range[0]:
-            try:
-                out.append(instantiate(spec, n))
-            except NonSquarefreeSkip:
-                pass
-        k += 1
+    for n in residue_ns(spec, r, max(count * 16, 128)):
+        if len(out) == count:
+            break
+        try:
+            out.append(instantiate(spec, n))
+        except NonSquarefreeSkip:
+            pass
     if len(out) < count:
         raise HypothesisError(
             f"could not find {count} squarefree instances for residue {r}"
@@ -371,17 +516,20 @@ def first_instances(spec: FamilySpec, r: int, count: int) -> list[FieldInstance]
     return out
 
 
-def quasi_poly(spec: FamilySpec, label: RayLabel, r: int) -> QuasiPoly:
+def quasi_poly(
+    spec: FamilySpec, label: RayLabel, r: int, rctx: ResidueContext | None = None
+) -> QuasiPoly:
     """Closed-form k-form quasi-polynomial of zeta_q(0, (C+D*delta(n))*b) for
     n = qk + r, assembled over the orbit of the label per the residue-level
     coefficient formulas; self-verified against direct evaluation at two k.
+    The orbit comes from the residue context `rctx`, built here if not given.
     """
     if not norm_invariance_check(spec, label, r):
         raise HypothesisError(
             f"norm of label ({label.C},{label.D}) mod {spec.q} varies with k at r={r}"
         )
     witnesses = first_instances(spec, r, 2)
-    members = orbit(label, witnesses[0].ctx)
+    members = orbit(label, rctx or ResidueContext(spec, r))
     coeffs = [Fraction(0)] * (spec.d + 1)
     for member in members:
         part = coeffs_closed(spec, member, r)

@@ -14,7 +14,13 @@ from fractions import Fraction
 from math import gcd
 
 from .exactmath import residue_zero
-from .family import FamilySpec, first_instances, quasi_poly
+from .family import (
+    FamilySpec,
+    ResidueContext,
+    VerificationError,
+    first_instances,
+    quasi_poly,
+)
 from .shintani import ConeContext, RayLabel, f_delta, orbit, partial_zeta0
 
 
@@ -141,8 +147,9 @@ def ray_char_value(chi: DirichletChar, ideal_norm: int) -> int | None:
     return a if chi.modulus > 1 else 1
 
 
-def orbit_representatives(ctx: ConeContext) -> list[RayLabel]:
-    """One representative per unit orbit of F_delta, in lexicographic order."""
+def orbit_representatives(ctx) -> list[RayLabel]:
+    """One representative per unit orbit of F_delta, in lexicographic order,
+    on a `ConeContext` or a `family.ResidueContext`."""
     reps, seen = [], set()
     for label in f_delta(ctx):
         if (label.C, label.D) in seen:
@@ -189,7 +196,9 @@ def hecke_L0_family(
 ) -> LValueQuasiPoly:
     """Quasi-polynomial (in k, per residue r) of the family's L-values at 0.
 
-    Every residue is verified exactly against a directly computed L-value.
+    The representatives and their character symbols come from each
+    residue's `ResidueContext`; every residue is verified exactly against an
+    L-value assembled directly on its first field.
     """
     if chi.modulus != spec.q:
         raise CharacterError("character modulus must equal q")
@@ -197,19 +206,20 @@ def hecke_L0_family(
     out: dict[int, list[CharSpanValue]] = {}
     for r in residues:
         witness = first_instances(spec, r, 1)[0]
+        rctx = ResidueContext(spec, r)
         vecs = [CharSpanValue.zero() for _ in range(spec.d + 1)]
-        for rep in orbit_representatives(witness.ctx):
-            sym = ray_char_value(chi, witness.ctx.label_norm(rep))
+        for rep in orbit_representatives(rctx):
+            sym = ray_char_value(chi, rctx.norm_of(rep))
             if sym is None:
                 continue
-            qp = quasi_poly(spec, rep, r)
+            qp = quasi_poly(spec, rep, r, rctx)
             for i in range(spec.d + 1):
                 vecs[i] = vecs[i] + CharSpanValue.from_dict({sym: qp.coeff(r, i)})
         out[r] = vecs
         lqp = LValueQuasiPoly(spec, chi, {r: vecs})
         direct = hecke_L0(witness.ctx, chi)
         if lqp.evaluate(witness.n) != direct:
-            raise RuntimeError(
+            raise VerificationError(
                 f"family L-value at n={witness.n} disagrees with direct assembly"
             )
     return LValueQuasiPoly(spec, chi, out)

@@ -284,18 +284,17 @@ def eval_coords(u, v, basis: ModuleBasis) -> QuadElem:
     return basis.field.elem(Fraction(u)) + Fraction(v) * basis.delta
 
 
-def fundamental_unit_totally_positive(basis: ModuleBasis, mcf) -> QuadElem:
-    """Totally positive fundamental unit eps > 1 of the ring acting on [1, delta].
+def boundary_coords(runs) -> tuple[int, int, int, int]:
+    """Coordinates (u', v', u, v) in [1, delta] of P_{m-1} and P_m, from
+    P_{i+1} = b_i P_i - P_{i-1}, P_{-1} = delta, P_0 = 1, over one minus-CF
+    period given as runs (b, k).  P_m = eps^{-1} and P_{m-1} = eps^{-1}*delta
+    are the columns of eps^{-1}'s matrix on [1, delta], of determinant 1.
 
-    Obtained from one period `mcf` of the minus continued fraction of delta
-    via the boundary-point recurrence P_{i+1} = b_i P_i - P_{i-1}: after m
-    steps P_m = eps^{-1}.  The recurrence runs on the integer coordinates of
-    P_i in [1, delta], starting at P_{-1} = delta, P_0 = 1.  A run of k 2s is
-    one arithmetic step, P_{i+k} = P_i + k(P_i - P_{i-1}), so the cost is
-    O(runs) for runs of 2s plus one step per term > 2.
+    A run of k 2s is one arithmetic step, P_{i+k} = P_i + k(P_i - P_{i-1}):
+    O(runs) plus one step per term > 2, and mod q only k mod q matters.
     """
     (u_prev, v_prev), (u, v) = (0, 1), (1, 0)
-    for b, k in mcf.runs:
+    for b, k in runs:
         if b == 2:
             du, dv = u - u_prev, v - v_prev
             u_prev, v_prev = u + (k - 1) * du, v + (k - 1) * dv
@@ -303,6 +302,16 @@ def fundamental_unit_totally_positive(basis: ModuleBasis, mcf) -> QuadElem:
             continue
         for _ in range(k):
             u_prev, v_prev, u, v = u, v, b * u - u_prev, b * v - v_prev
+    return u_prev, v_prev, u, v
+
+
+def fundamental_unit_totally_positive(basis: ModuleBasis, mcf) -> QuadElem:
+    """Totally positive fundamental unit eps > 1 of the ring acting on [1, delta].
+
+    Obtained from one period `mcf` of the minus continued fraction of delta
+    as the inverse of P_m (`boundary_coords`).
+    """
+    _, _, u, v = boundary_coords(mcf.runs)
     one = basis.field.elem(1)
     eps = eval_coords(u, v, basis).inverse()
     if norm(eps) != 1 or not is_totally_positive(eps) or not (eps > one):
@@ -331,7 +340,14 @@ def unit_index_lambda(eps: QuadElem, q: int, basis: ModuleBasis) -> int:
         for entry in row:
             if Fraction(entry).denominator != 1:
                 raise ValueError("eps does not stabilize the module [1, delta]")
-    (m00, m01), (m10, m11) = ((int(e) % q for e in row) for row in m)
+    return matrix_order(tuple(tuple(int(e) for e in row) for row in m), q)
+
+
+def matrix_order(m, q: int) -> int:
+    """Least j >= 1 with m^j (1, 0) = (1, 0) mod q, for the integer matrix
+    m = ((m00, m01), (m10, m11)) of a unit on [1, delta]: the unit's index
+    lambda, found within q^2 powers."""
+    (m00, m01), (m10, m11) = ((e % q for e in row) for row in m)
     u, v = 1, 0  # coordinates of eps^j, starting at j=0
     for j in range(1, q * q + 1):
         u, v = (m00 * u + m01 * v) % q, (m10 * u + m11 * v) % q

@@ -113,10 +113,17 @@ class ConeContext:
             self._orbits[label] = orbit(label, self)
         return self._orbits[label]
 
+    def act(self, label: RayLabel) -> RayLabel:
+        """The label's image under the unit, `eps_act`."""
+        return eps_act(self.eps, label, self.basis)
 
-def f_delta(ctx: ConeContext) -> list[RayLabel]:
+
+def f_delta(ctx) -> list[RayLabel]:
     """All labels (C,D) != (0,0) in [0,q-1]^2 whose ideal norm is coprime to q,
-    in lexicographic order."""
+    in lexicographic order.
+
+    `ctx` is a `ConeContext` or any context with `q` and `norm_of`, such as
+    `family.ResidueContext`, whose norms are known mod q only."""
     q = ctx.q
     out = []
     for C in range(q):
@@ -139,18 +146,19 @@ def eps_act(eps: QuadElem, label: RayLabel, basis: ModuleBasis) -> RayLabel:
     return RayLabel(residue_zero(int(u), label.q), residue_zero(int(v), label.q), label.q)
 
 
-def orbit(label: RayLabel, ctx: ConeContext) -> list[RayLabel]:
-    """Orbit of the label under the unit action, starting at the seed.
+def orbit(label: RayLabel, ctx) -> list[RayLabel]:
+    """Orbit of the label under the unit action `ctx.act`, starting at the
+    seed; `ctx` is a `ConeContext` or a `family.ResidueContext`.
 
     Its length always equals lambda = [E+ : E_q+].
     """
     members = [label]
-    cur = eps_act(ctx.eps, label, ctx.basis)
+    cur = ctx.act(label)
     while cur != label:
         members.append(cur)
         if len(members) > ctx.lam:
             raise InternalCheckError("orbit did not close within lambda steps")
-        cur = eps_act(ctx.eps, cur, ctx.basis)
+        cur = ctx.act(cur)
     if len(members) != ctx.lam:
         raise InternalCheckError(
             f"orbit length {len(members)} differs from lambda {ctx.lam}"

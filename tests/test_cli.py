@@ -148,6 +148,20 @@ def test_reports_are_byte_stable(capsys, command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_REPORTS[command]
 
 
+def test_family_residues_without_fields_are_failures(capsys):
+    # 9 | n^2 + 2 for n = 4, 5 mod 9: those residues hold no field of the
+    # family, and the report names them as it always has
+    code, out = run(capsys, ["family", "--preset", "rd-n2p2", "--q", "9", "--label", "1,0"])
+    assert code == EXIT_HYPOTHESIS
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "6e6e50f929724ff62ecf1cfe9e116a002a742b246861698fe184b815c077a092")
+    report = json.loads(out)
+    assert report["failures"] == [
+        {"r": r, "error": f"could not find 1 squarefree instances for residue {r}"}
+        for r in (4, 5)]
+    assert sorted(row["r"] for row in report["rows"]) == [0, 1, 2, 3, 6, 7, 8]
+
+
 def test_lfunc_trivial_matches_family_totals(capsys):
     code, out = run(capsys, ["lfunc", "--preset", "rd-n2p2", "--q", "2"])
     assert code == EXIT_OK
@@ -353,12 +367,29 @@ def test_cli_import_leaves_verify_unloaded():
 
 
 @pytest.mark.parametrize("n", [
-    "10000000000",  # f(n) is past the squarefree certification bound
+    "10000000000",  # the minus-CF period m = n is past max_period
     "2000000000",  # the minus-CF period is past max_period
     "999999",  # lambda*m = 2*999999 is past RAYZETA_MAX_TERMS
 ])
 def test_size_limits_are_config_errors(capsys, n):
     assert run_err(capsys, ["zeta", "--preset", "rd-n2p2", "--n", n]) == EXIT_CONFIG
+
+
+def test_period_limit_comes_before_the_squarefree_test(capsys):
+    # f(1000003) = 9 * 111112000001: refused for its period, not skipped
+    argv = ["zeta", "--preset", "rd-n2p2", "--n", "1000003"]
+    assert run_err(capsys, argv) == EXIT_CONFIG
+    main(argv)
+    assert capsys.readouterr().err == "error: minus CF period not found within 1000000 terms\n"
+
+
+def test_squarefree_bound_is_config_error(capsys):
+    # f = (10^9 + 7)(10^9 + 9) > 10^18 has no prime factor up to the bound
+    argv = ["zeta", "--f-poly", "1000000016000000063", "--a-polys", "1;1", "--n", "1"]
+    assert run_err(capsys, argv) == EXIT_CONFIG
+    main(argv)
+    assert capsys.readouterr().err == (
+        "error: cannot certify squarefreeness beyond bound 1000000\n")
 
 
 def test_config_format_is_applied(tmp_path, capsys):

@@ -13,6 +13,7 @@ from rayzeta.contfrac import (
     _surd_state,
     cf_value,
     minus_cf,
+    minus_period,
     pair_count,
     plus_cf,
     plus_to_minus,
@@ -277,3 +278,13 @@ def test_period_limit_counts_terms_not_runs():
         minus_cf(delta)
     assert minus_cf(delta, max_period=n) == plus_to_minus(PeriodicCF((2 * n, n)), validate=False)
     assert minus_cf(delta, max_period=n).runs == ((2 * n + 2, 1), (2, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=4), st.integers(1, 3))
+def test_minus_period_equals_least_period(base, repeat):
+    # the period from the index rule in O(s), repetitions of the plus period
+    # included, is the least period the ceiling algorithm finds
+    terms = tuple(base) * repeat
+    assert minus_period(terms) == minus_cf(cf_value(PeriodicCF(terms)) + 1).m
+    assert minus_period(terms) == minus_period(tuple(base))

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from rayzeta import family
 from rayzeta.contfrac import PeriodicCF, plus_to_minus, s_indices
-from rayzeta.exactmath import frac_unit
+from rayzeta.exactmath import LimitError, frac_unit
 from rayzeta.family import (
     A_im,
     FamilySpec,
@@ -13,8 +14,11 @@ from rayzeta.family import (
     NonSquarefreeSkip,
     PRESETS,
     QuasiPoly,
+    ResidueContext,
     coeffs_closed,
+    delta_trace_norm,
     first_instances,
+    first_usable,
     fit_oracle,
     gamma_tau,
     get_preset,
@@ -23,10 +27,14 @@ from rayzeta.family import (
     lagrange_fit,
     n_to_k_form,
     norm_invariance_check,
+    poly_add,
+    poly_div,
     poly_eval,
+    poly_mul,
     quasi_poly,
     sample_ks,
 )
+from rayzeta.quadfield import mult_matrix, norm, trace
 from rayzeta.shintani import (
     RayLabel,
     f_delta,
@@ -261,3 +269,137 @@ def test_denominator_bound_on_k_coefficients():
             qp = quasi_poly(spec, lab, 1)
             for i in range(spec.d + 1):
                 assert (12 * q * q * qp.coeff(1, i)).denominator == 1
+
+
+def test_poly_arithmetic():
+    assert poly_add((1, 2), (0, 0, 3), -1) == (1, 2, -3)
+    assert poly_mul((1, 1), (-1, 1)) == (-1, 0, 1)
+    assert poly_div((-1, 0, 1), (1, 1)) == (-1, 1)
+    assert poly_div((0, 0, 6), (0, 2)) == (0, 3)
+    assert poly_div((5,), (0, 1)) is None  # nonzero remainder
+    assert poly_div((0, 1), (0, 2)) is None  # quotient 1/2 is not in Z[x]
+    assert poly_div((1, 1), (0,)) is None  # division by zero
+    assert poly_div((0,), (0, 1)) == (0,)
+
+
+# the trace and norm of delta(n): 2 + 2n and 2n - 1 for rd-n2p2,
+# 8n^2 + 8n + 4 and 8n^2 + 4n + 1 for quartic-16n4
+TRACE_NORM = {"rd-n2p2": ((2, 2), (-1, 2)), "quartic-16n4": ((4, 8, 8), (1, 4, 8))}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_delta_trace_norm_on_presets(name):
+    spec = PRESETS[name]
+    assert delta_trace_norm(spec) == TRACE_NORM[name]
+    tr, nm = TRACE_NORM[name]
+    for n in range(spec.n_range[0], 15):
+        try:
+            delta = instantiate(spec, n).ctx.basis.delta
+        except NonSquarefreeSkip:
+            continue
+        assert (trace(delta), norm(delta)) == (poly_eval(tr, n), poly_eval(nm, n))
+
+
+@pytest.mark.parametrize("f_poly,a_polys", [
+    ((4, 8, 4), ((0, 2), (0, 1))),  # A9's tripwire: beta^2 - gamma = n^2 + 2
+    ((2, 0, 1), ((0, 1), (0, 2))),  # [[n, 2n]]: gamma = -1/2 is not in Z[n]
+    ((3, 0, 1), ((0, 2), (0, 1))),  # right CF, f off by a constant
+])
+def test_delta_trace_norm_rejects(f_poly, a_polys):
+    assert delta_trace_norm(FamilySpec("adv", f_poly, a_polys, 2, (0, 100))) is None
+
+
+def matrix_mod(ctx, q):
+    return tuple(tuple(int(e) % q for e in row) for row in mult_matrix(ctx.eps, ctx.basis))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_residue_context_equals_instance_data(name):
+    # lambda, the unit's matrix mod q, F_delta, every orbit and every label
+    # norm mod q of the residue context equal those of three fields per
+    # residue, for every q <= 11 and every r
+    cases = empty = 0
+    for q in range(2, 12):
+        spec = PRESETS[name].with_q(q)
+        labels = [RayLabel(C, D, q) for C in range(q) for D in range(q) if C or D]
+        for r in range(q):
+            if not first_usable(spec, r, 1, 128):
+                with pytest.raises(HypothesisError, match=f"residue {r}$"):
+                    ResidueContext(spec, r)
+                empty += 1
+                continue
+            rctx = ResidueContext(spec, r)
+            fd = f_delta(rctx)
+            orbits = {lab: orbit(lab, rctx) for lab in fd}
+            for inst in first_instances(spec, r, 3):
+                ctx = inst.ctx
+                assert rctx.lam == ctx.lam
+                assert rctx.matrix == matrix_mod(ctx, q)
+                assert [rctx.norm_of(lab) for lab in labels] == [
+                    ctx.norm_of(lab) % q for lab in labels]
+                assert fd == f_delta(ctx)
+                assert all(orbits[lab] == ctx.orbit_of(lab) for lab in fd)
+                cases += 1
+    # no field at q = 9: 9 | n^2 + 2 for n = 4, 5 and 9 | (2n+1)^4 + 2(2n+1) for n = 4
+    assert empty == {"rd-n2p2": 2, "quartic-16n4": 1}[name]
+    assert cases == 3 * (sum(range(2, 12)) - empty)
+
+
+def test_residue_context_without_symbolic_norms_reads_a_field():
+    # delta(n) = 1 + [[2n + 1]] = (2n + 3 + sqrt(4n^2 + 4n + 5))/2 has integral
+    # trace and norm, but B/2A = -(2n + 1)/2 is not in Z[n]: the symbolic
+    # test rejects the family, so the norms come from its first field
+    spec = FamilySpec("half", (5, 4, 4), ((1, 2),), 3, (0, 100))
+    assert delta_trace_norm(spec) is None
+    for r in range(3):
+        rctx = ResidueContext(spec, r)
+        inst = first_instances(spec, r, 1)[0]
+        assert rctx.witness is not None and rctx.witness.basis == inst.ctx.basis
+        assert f_delta(rctx) == f_delta(inst.ctx)
+        assert (rctx.lam, rctx.matrix) == (inst.ctx.lam, matrix_mod(inst.ctx, 3))
+        for lab in f_delta(rctx):
+            assert orbit(lab, rctx) == orbit(lab, inst.ctx)
+
+
+def test_norm_invariance_builds_no_field_when_decided_symbolically(monkeypatch):
+    def no_field(spec, n):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(family, "instantiate", no_field)
+    for name in PRESETS:
+        spec = PRESETS[name].with_q(5)
+        for r in range(5):
+            assert norm_invariance_check(spec, RayLabel(1, 2, 5), r)
+
+
+def test_norm_invariance_needs_two_samples_on_the_symbolic_path():
+    spec = PRESETS["rd-n2p2"].with_q(9)  # 9 | f(n) for n = 4 mod 9
+    with pytest.raises(HypothesisError, match="^fewer than two usable samples for r=4$"):
+        norm_invariance_check(spec, RayLabel(1, 0, 9), 4)
+
+
+def test_quasi_poly_takes_a_given_residue_context():
+    spec = PRESETS["quartic-16n4"].with_q(3)
+    for r in range(3):
+        rctx = ResidueContext(spec, r)
+        for lab in f_delta(rctx):
+            assert quasi_poly(spec, lab, r, rctx) == quasi_poly(spec, lab, r)
+
+
+def test_period_limit_is_decided_before_squarefree_certification(monkeypatch):
+    def certify(n, bound=10**6):
+        raise AssertionError("squarefree certification ran")
+
+    monkeypatch.setattr(family, "is_squarefree", certify)
+    spec = PRESETS["rd-n2p2"]  # m = n
+    # f(1000003) = 9 * 111112000001 is not squarefree: refused, not skipped
+    for n in (1000003, 2 * 10**9):
+        with pytest.raises(LimitError, match="^minus CF period not found within 1000000 terms$"):
+            instantiate(spec, n)
+
+
+def test_period_limit_counts_the_primitive_period():
+    # [[2n, n, 2n, n]] repeats [[2n, n]], whose minus period is n, not 2n
+    spec = FamilySpec("twice", (2, 0, 1), ((0, 2), (0, 1), (0, 2), (0, 1)), 2, (1, 10**6))
+    inst = instantiate(spec, 700000)
+    assert inst.ctx.mcf.m == 700000

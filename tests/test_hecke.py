@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from rayzeta.family import PRESETS, first_instances, instantiate
+from rayzeta import hecke
+from rayzeta.cli import EXIT_INTERNAL, main
+from rayzeta.family import PRESETS, VerificationError, first_instances, instantiate
 from rayzeta.hecke import (
     CharSpanValue,
     CharacterError,
@@ -116,3 +118,18 @@ def test_hecke_family_symbols_are_unit_residues():
         symbols.update(vec.as_dict())
     assert symbols <= {1, 2, 3, 4}
     assert symbols  # at least one nonzero coefficient
+
+
+def test_hecke_family_mismatch_is_a_verification_error(monkeypatch, capsys):
+    # a direct L-value that is off by 1 must stop the family assembly
+    direct = hecke.hecke_L0
+    monkeypatch.setattr(
+        hecke, "hecke_L0",
+        lambda ctx, chi: direct(ctx, chi) + CharSpanValue.from_dict({1: Fraction(1)}))
+    spec = PRESETS["rd-n2p2"].with_q(5)
+    with pytest.raises(VerificationError,
+                       match="^family L-value at n=10 disagrees with direct assembly$"):
+        hecke_L0_family(spec, order4_mod5())
+    assert main(["lfunc", "--preset", "rd-n2p2", "--q", "5", "--char", "5:4:2=1"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == (
+        "internal verification failure: family L-value at n=10 disagrees with direct assembly\n")

@@ -6,9 +6,9 @@ from itertools import groupby
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rayzeta.contfrac import MinusCF
+from rayzeta.contfrac import MinusCF, PeriodicCF, plus_to_minus
 from rayzeta.exactmath import bernoulli1, bernoulli2, frac_unit, residue_one, term12
-from rayzeta.family import PRESETS, get_preset, instantiate, usable
+from rayzeta.family import PRESETS, get_preset, instantiate, poly_eval, usable
 from rayzeta.quadfield import ModuleBasis, QuadField, coords_in_basis
 from rayzeta.shintani import (
     ConeContext,
@@ -281,3 +281,57 @@ def test_context_never_builds_the_term_tuple(monkeypatch):
     assert sum(k for _, _, k in ctx.steps) == ctx.mcf.m
     for lab in f_delta(ctx)[:3]:
         partial_zeta0(ctx, lab)
+
+
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) for k >= 1 and gcd(h, k) = 1, by reciprocity:
+    s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4, and s(h, k) = s(h mod k, k)."""
+    h %= k
+    if h == 0:
+        return Fraction(0)  # k = 1: the empty sum
+    return Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4) - dedekind_sum(k, h)
+
+
+def sawtooth(x: Fraction) -> Fraction:
+    return Fraction(0) if x.denominator == 1 else x - x.numerator // x.denominator - Fraction(1, 2)
+
+
+def dedekind_sum_oracle(h: int, k: int) -> Fraction:
+    """s(h, k) by its definition, the sum of ((j/k))((hj/k)) over j = 1..k-1."""
+    return sum((sawtooth(Fraction(j, k)) * sawtooth(Fraction(h * j, k)) for j in range(1, k)),
+               Fraction(0))
+
+
+def assert_dedekind_oracle(mcf: MinusCF) -> None:
+    # gamma = prod [[b_i, -1], [1, 0]] over one period = [[a, b], [c, d]]:
+    # the q = 1 series, the sum of b_i - 3, is Rademacher's
+    # (a + d)/c - 12 s(d, c) - 3, an oracle from outside the cone sums
+    a, b, c, d = 1, 0, 0, 1
+    for t in mcf.terms:
+        a, b, c, d = a * t + b, -a, c * t + d, -c
+    assert a * d - b * c == 1 and c > 0
+    s = dedekind_sum(d, c)
+    if c <= 200:
+        assert s == dedekind_sum_oracle(d, c)
+    want = Fraction(a + d, c) - 12 * s - 3
+    assert _series12(0, 0, 1, series_steps(mcf.runs), 1) == want
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_series_equals_dedekind_sum_formula_on_presets(name):
+    spec = PRESETS[name]
+    for n in range(max(spec.n_range[0], 1), 21):
+        terms = tuple(poly_eval(a, n) for a in spec.a_polys)
+        assert_dedekind_oracle(plus_to_minus(PeriodicCF(terms)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(2, 9), st.integers(1, 6)), min_size=1, max_size=5)
+       .filter(lambda runs: any(b > 2 for b, _ in runs)))
+def test_series_equals_dedekind_sum_formula_on_random_runs(runs):
+    # a period with a term > 2 is hyperbolic; a cyclic rotation of the runs
+    # is another period of the same class
+    mcf = MinusCF.from_runs(runs)
+    if mcf.runs[0][0] == mcf.runs[-1][0] and len(mcf.runs) > 1:
+        mcf = MinusCF.from_runs(mcf.runs[1:] + mcf.runs[:1])
+    assert_dedekind_oracle(mcf)
