@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
-from .contfrac import ConversionMismatchError, NotReducedError
+from .contfrac import NotReducedError
 from .exactmath import residue_zero
 from .family import (
     FamilySpec,
@@ -363,14 +363,13 @@ def cmd_family(args) -> int:
                 )
                 exit_code = EXIT_HYPOTHESIS
                 continue
+            nform = k_to_n_form(qp)
             row = {
                 "r": r,
                 "C": lab.C,
                 "D": lab.D,
                 "k_coeffs": [qp.coeff(r, i) for i in range(spec.d + 1)],
-                "n_coeffs": [
-                    k_to_n_form(qp).coeff(r, i) for i in range(spec.d + 1)
-                ],
+                "n_coeffs": [nform.coeff(r, i) for i in range(spec.d + 1)],
                 "denominator_bounds_ok": denom_bounds_ok(qp, r),
             }
             try:
@@ -528,8 +527,7 @@ def main(argv=None) -> int:
     except (HypothesisError, NonSquarefreeSkip) as e:
         print(f"hypothesis violation: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (VerificationError, InternalCheckError, ConversionMismatchError,
-            RuntimeError) as e:
+    except (VerificationError, InternalCheckError, RuntimeError) as e:
         print(f"internal verification failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -30,10 +30,6 @@ class NotReducedError(ValueError):
     """Input surd fails the reduction hypothesis for the requested expansion."""
 
 
-class ConversionMismatchError(RuntimeError):
-    """plus_to_minus formula disagrees with the direct ceiling algorithm."""
-
-
 @dataclass(frozen=True)
 class PeriodicCF:
     """One period of a purely periodic plus continued fraction."""
@@ -241,27 +237,16 @@ def minus_period(terms: tuple[int, ...]) -> int:
     return sum(terms[(2 * j - 1) % p] for j in range(1, pair_count(p) + 1))
 
 
-def plus_to_minus(cf: PeriodicCF, validate: bool = True) -> MinusCF:
+def plus_to_minus(cf: PeriodicCF) -> MinusCF:
     """Minus CF of 1 + value(cf) via the index rule: b_i = a_{2j} + 2 at
     i = S_j, b_i = 2 otherwise, with period m = S_{s/2} (even s) or S_s (odd s).
     So each pair (a_{2j}, a_{2j+1}) gives the runs (a_{2j} + 2, 1) and
-    (2, a_{2j+1} - 1): O(s) work for any m.
-
-    Cross-validated against the direct ceiling algorithm; the direct
-    algorithm is authoritative and a mismatch raises.
+    (2, a_{2j+1} - 1): O(s) work for any m.  On a primitive period it
+    equals `minus_cf(cf_value(cf) + 1)`, the direct ceiling algorithm.
     """
     s = cf.s
-    result = MinusCF.from_runs(
+    return MinusCF.from_runs(
         run
         for j in range(pair_count(s))
         for run in ((cf.terms[2 * j % s] + 2, 1), (2, cf.terms[(2 * j + 1) % s] - 1))
     )
-    if validate:
-        delta = cf_value(cf) + 1
-        direct = minus_cf(delta)
-        if direct != result:
-            raise ConversionMismatchError(
-                f"conversion rule gave {result.terms}, ceiling algorithm gave "
-                f"{direct.terms}; hypothesis on the a_i is violated"
-            )
-    return result

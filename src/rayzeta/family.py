@@ -15,9 +15,12 @@ special terms and the run kernel `shintani.progression_sum` along the runs of
 2s between them, the same two kernels `partial_zeta0` walks.
 
 The label side is residue-level too: `ResidueContext` holds the unit's
-matrix mod q, lambda, F_delta, the orbits and the label norms mod q, and
-`delta_trace_norm` decides the paper's norm invariance symbolically.  Fields
-are built only for the direct zeta values that check the closed forms.
+matrix mod q, lambda, F_delta, the orbits and the label norms mod q.  The
+paper's norm invariance is decided exactly by `delta_trace_norm`: the trace
+and norm of delta(n) either lie in Z[n], or the family is refused with a
+HypothesisError.  Fields are built only for the direct zeta values that
+check the closed forms, and `instantiate` checks f(n) against the radicand
+of each.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .contfrac import (
     plus_to_minus,
     s_indices,
 )
-from .exactmath import LimitError, residue_one, residue_zero, term12
+from .exactmath import LimitError, residue_one, term12
 from .quadfield import ModuleBasis, boundary_coords, is_squarefree, matrix_order
 from .shintani import (
     ConeContext,
@@ -111,7 +114,10 @@ def poly_div(p: Poly, d: Poly) -> Poly | None:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """f(x), the CF term polynomials a_i(x), and the modulus q."""
+    """f(x), the CF term polynomials a_i(x), and the modulus q.  The a_i are
+    kept without trailing zero coefficients and as their primitive period:
+    a period repeated t times has the same delta(n), but its residue data
+    would be that of eps^t."""
 
     name: str
     f_poly: Poly
@@ -124,6 +130,10 @@ class FamilySpec:
             raise ValueError("q must be >= 2")
         if not self.a_polys:
             raise ValueError("need at least one CF term polynomial")
+        a = tuple(poly[: poly_degree(poly) + 1] for poly in self.a_polys)
+        s = len(a)
+        p = next(p for p in range(1, s + 1) if s % p == 0 and a == a[:p] * (s // p))
+        object.__setattr__(self, "a_polys", a[:p])
 
     @property
     def s(self) -> int:
@@ -172,29 +182,36 @@ class FieldInstance:
 
 
 def delta_trace_norm(spec: FamilySpec) -> tuple[Poly, Poly] | None:
-    """Trace and norm of delta(n) in Z[n], or None when the family's
-    hypothesis cannot be decided symbolically.
+    """Trace and norm of delta(n) in Z[n], or None when either is not an
+    integer polynomial.
 
-    The product of [[a_i(n), 1], [1, 0]] over one period gives the equation
-    A x^2 + B x + C = 0 of x = delta(n) - 1.  If beta = B/2A and gamma = C/A
-    lie in Z[n] and beta^2 - gamma = f, then x = -beta + sqrt(f(n)): the
-    trace is 2 - 2 beta and the norm 1 - 2 beta + gamma.  So the norm
-    C'^2 + C'D' tr + D'^2 N of C' + D' delta(n) is in Z[n], and its value
-    mod q depends on n mod q only: the paper's norm invariance.
+    The product of [[a_i(n), 1], [1, 0]] over one period gives
+    x = (p x + p')/(q x + q') for x = delta(n) - 1, so q x^2 + (q' - p) x - p' = 0
+    and delta = x + 1 has trace 2 + (p - q')/q and norm 1 + (p - q' - p')/q.
+    When both lie in Z[n], the norm C^2 + C D tr + D^2 N of C + D delta(n) is
+    an integer polynomial in n, and its value mod q depends on n mod q only:
+    the paper's norm invariance.
     """
     p_prev, p = (1,), spec.a_polys[0]
     q_prev, q = (0,), (1,)
     for a in spec.a_polys[1:]:
         p_prev, p = p, poly_add(poly_mul(a, p), p_prev)
         q_prev, q = q, poly_add(poly_mul(a, q), q_prev)
-    # x = (p x + p_prev)/(q x + q_prev): A = q, B = q_prev - p, C = -p_prev
-    beta = poly_div(poly_add(q_prev, p, -1), poly_add(q, q))
-    gamma = poly_div(poly_add((0,), p_prev, -1), q)
-    if beta is None or gamma is None:
+    tr = poly_div(poly_add(p, q_prev, -1), q)
+    nm = poly_div(poly_add(poly_add(p, q_prev, -1), p_prev, -1), q)
+    if tr is None or nm is None:
         return None
-    if any(poly_add(poly_add(poly_mul(beta, beta), gamma, -1), spec.f_poly, -1)):
-        return None
-    return poly_add((2,), beta, -2), poly_add(poly_add((1,), beta, -2), gamma)
+    return poly_add((2,), tr), poly_add((1,), nm)
+
+
+def decided_trace_norm(spec: FamilySpec) -> tuple[Poly, Poly]:
+    """`delta_trace_norm`, or HypothesisError when it is undecided."""
+    polys = delta_trace_norm(spec)
+    if polys is None:
+        raise HypothesisError(
+            "trace and norm of delta(n) are not both in Z[n]: norm invariance is undecided"
+        )
+    return polys
 
 
 def checked_terms(spec: FamilySpec, n: int) -> tuple[int, tuple[int, ...]]:
@@ -301,32 +318,26 @@ class ResidueContext:
 
     The matrix comes from the unit recurrence (`quadfield.boundary_coords`)
     over the residue minus CF that `coeffs_closed` sums: a run of k 2s
-    enters it linearly in k, so mod q only k mod q matters.  The norms are
-    `delta_trace_norm` at r; a family it rejects takes them from its first
-    field with n = r mod q.  Raises HypothesisError, as
+    enters it linearly in k, so mod q only k mod q matters.  The norms come
+    from `delta_trace_norm` at r.  No field is built.  Raises HypothesisError
+    when the trace and norm of delta(n) are not in Z[n], and, as
     `first_instances(spec, r, 1)` does, when the residue holds no field.
     """
 
     def __init__(self, spec: FamilySpec, r: int):
         q = self.q = spec.q
-        polys = delta_trace_norm(spec)
-        self.trace_norm = self.witness = None  # of delta mod q, or a field's context
-        if polys is None:
-            self.witness = first_instances(spec, r, 1)[0].ctx
-        elif not first_usable(spec, r, 1, 128):  # first_instances' limit
+        polys = decided_trace_norm(spec)
+        if not first_usable(spec, r, 1, 128):  # first_instances' limit
             raise HypothesisError(f"could not find 1 squarefree instances for residue {r}")
-        else:
-            self.trace_norm = tuple(poly_eval(p, r) % q for p in polys)
+        self.trace_norm = tuple(poly_eval(p, r) % q for p in polys)  # of delta mod q
         rcf = PeriodicCF(tuple(gamma_tau(spec, r)[0]))
-        u1, v1, u, v = boundary_coords(plus_to_minus(rcf, validate=False).runs)
+        u1, v1, u, v = boundary_coords(plus_to_minus(rcf).runs)
         # columns (u, v), (u1, v1) are eps^-1 and eps^-1*delta; eps is the adjugate
         self.matrix = ((v1 % q, -u1 % q), (-v % q, u % q))
         self.lam = matrix_order(self.matrix, q)
 
     def norm_of(self, label: RayLabel) -> int:
         """The norm of (C + D*delta(n))*b mod q, the same for every n = r mod q."""
-        if self.witness is not None:
-            return self.witness.norm_of(label) % self.q
         t, nd = self.trace_norm
         C, D = label.C, label.D
         return (C * C + C * D * t + D * D * nd) % self.q
@@ -363,7 +374,7 @@ def coeffs_closed(spec: FamilySpec, label: RayLabel, r: int) -> list[Fraction]:
     Gammas = s_indices(rcf)  # Gamma_0 .. Gamma_J
     J = len(Gammas) - 1
     # X[i + 1] = X_i for i = -1 .. Gamma_J
-    X = yamamoto_numerators(label, plus_to_minus(rcf, validate=False), Gammas[-1])
+    X = yamamoto_numerators(label, plus_to_minus(rcf), Gammas[-1])
     starts = [X[G + 1] for G in Gammas]
     steps = [residue_one(X[G + 2] - X[G + 1], q) for G in Gammas[:-1]]
     blocks = [progression_sum(q, steps[l], starts[l], q) for l in range(J)]
@@ -468,35 +479,17 @@ def denom_bounds_ok(qp: QuasiPoly, r: int) -> bool:
     return True
 
 
-def norm_invariance_check(
-    spec: FamilySpec, label: RayLabel, r: int, k_samples: int = 4
-) -> bool:
+def norm_invariance_check(spec: FamilySpec, label: RayLabel, r: int) -> bool:
     """True iff the label's ideal norm mod q is the same for every usable
-    n = qk + r.  HypothesisError unless at least two of the first
-    `k_samples` such n with k < max(8 k_samples, 64) exist.
-
-    Where `delta_trace_norm` decides the family's hypothesis the norm is an
-    integer polynomial in n, so the answer is True and no field is built.
-    Otherwise the norms of the sampled fields are compared (non-squarefree
-    f(n) skipped transparently).
+    n = qk + r; no field is built.  Wherever `delta_trace_norm` decides the
+    family the norm is an integer polynomial in n, so the answer is True.
+    HypothesisError where it does not, and unless at least two of the first
+    four usable n with k < 64 exist.
     """
-    limit = max(k_samples * 8, 64)
-    if delta_trace_norm(spec) is not None:
-        samples, invariant = len(first_usable(spec, r, k_samples, limit)), True
-    else:
-        norms = []
-        for n in residue_ns(spec, r, limit):
-            if len(norms) == k_samples:
-                break
-            try:
-                inst = instantiate(spec, n)
-            except NonSquarefreeSkip:
-                continue
-            norms.append(residue_zero(inst.ctx.label_norm(label), spec.q))
-        samples, invariant = len(norms), len(set(norms)) == 1
-    if samples < 2:
+    decided_trace_norm(spec)
+    if len(first_usable(spec, r, 4, 64)) < 2:
         raise HypothesisError(f"fewer than two usable samples for r={r}")
-    return invariant
+    return True
 
 
 def first_instances(spec: FamilySpec, r: int, count: int) -> list[FieldInstance]:
@@ -524,10 +517,7 @@ def quasi_poly(
     coefficient formulas; self-verified against direct evaluation at two k.
     The orbit comes from the residue context `rctx`, built here if not given.
     """
-    if not norm_invariance_check(spec, label, r):
-        raise HypothesisError(
-            f"norm of label ({label.C},{label.D}) mod {spec.q} varies with k at r={r}"
-        )
+    norm_invariance_check(spec, label, r)
     witnesses = first_instances(spec, r, 2)
     members = orbit(label, rctx or ResidueContext(spec, r))
     coeffs = [Fraction(0)] * (spec.d + 1)

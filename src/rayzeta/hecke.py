@@ -39,16 +39,15 @@ class DirichletChar:
 
     @classmethod
     def from_exponents(cls, q: int, order: int, table: dict[int, int]) -> "DirichletChar":
-        if q < 1 or order < 1:
-            raise CharacterError("modulus and order must be positive")
-        units = [a for a in range(1, q + 1) if gcd(a, q) == 1]
-        units = [a % q if q > 1 else 1 for a in units]
+        if q < 2 or order < 1:  # every ray modulus is at least 2
+            raise CharacterError(f"modulus must be >= 2 and order >= 1, got {q} and {order}")
+        units = [a for a in range(1, q) if gcd(a, q) == 1]
         norm_table = {}
         for a in units:
             if a not in table:
                 raise CharacterError(f"missing exponent for unit {a}")
             norm_table[a] = table[a] % order
-        if norm_table.get(1 % q, norm_table.get(1)) != 0:
+        if norm_table[1] != 0:
             raise CharacterError("chi(1) must be 1")
         for a in units:
             for b in units:
@@ -66,8 +65,8 @@ class DirichletChar:
         for g in gens:
             if gcd(g, q) != 1:
                 raise CharacterError(f"generator {g} is not a unit mod {q}")
-        table = {1 % q: 0}
-        frontier = [1 % q]
+        table = {1: 0}
+        frontier = [1]
         while frontier:
             a = frontier.pop()
             for g, e in gens.items():
@@ -79,22 +78,22 @@ class DirichletChar:
                 else:
                     table[b] = val
                     frontier.append(b)
-        n_units = sum(1 for a in range(q) if gcd(a, q) == 1) if q > 1 else 1
+        n_units = sum(1 for a in range(q) if gcd(a, q) == 1)
         if len(table) != n_units:
             raise CharacterError("generators do not generate (Z/q)^*")
         return cls.from_exponents(q, order, table)
 
     @classmethod
     def trivial(cls, q: int) -> "DirichletChar":
-        table = {a % q: 0 for a in range(1, q + 1) if gcd(a, q) == 1}
+        table = {a: 0 for a in range(1, q) if gcd(a, q) == 1}
         return cls.from_exponents(q, 1, table)
 
     def exponent(self, a: int) -> int | None:
         """Exponent e with chi(a) = zeta_order^e, or None when chi(a) = 0."""
         a = residue_zero(a, self.modulus)
-        if gcd(a, self.modulus) != 1 and self.modulus > 1:
+        if gcd(a, self.modulus) != 1:
             return None
-        return dict(self.exps)[a % self.modulus if self.modulus > 1 else 1]
+        return dict(self.exps)[a]
 
 
 @dataclass(frozen=True)
@@ -142,9 +141,7 @@ def ray_char_value(chi: DirichletChar, ideal_norm: int) -> int | None:
     if ideal_norm <= 0:
         raise ValueError("ideal norm must be positive")
     a = residue_zero(ideal_norm, chi.modulus)
-    if chi.modulus > 1 and gcd(a, chi.modulus) != 1:
-        return None
-    return a if chi.modulus > 1 else 1
+    return a if gcd(a, chi.modulus) == 1 else None
 
 
 def orbit_representatives(ctx) -> list[RayLabel]:
@@ -205,8 +202,8 @@ def hecke_L0_family(
     residues = range(spec.q) if residues is None else residues
     out: dict[int, list[CharSpanValue]] = {}
     for r in residues:
-        witness = first_instances(spec, r, 1)[0]
         rctx = ResidueContext(spec, r)
+        witness = first_instances(spec, r, 1)[0]
         vecs = [CharSpanValue.zero() for _ in range(spec.d + 1)]
         for rep in orbit_representatives(rctx):
             sym = ray_char_value(chi, rctx.norm_of(rep))

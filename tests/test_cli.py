@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rayzeta
-from rayzeta import cli, verify
+from rayzeta import cli, family, verify
 from rayzeta.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -119,6 +119,49 @@ def test_uncertifiable_inline_family_exits_with_hypothesis_code(capsys):
     report = json.loads(out)
     assert report["failures"]
     assert report["rows"] == []
+
+
+UNDECIDED = "trace and norm of delta(n) are not both in Z[n]: norm invariance is undecided"
+
+
+def test_undecided_family_is_a_hypothesis_violation(capsys, monkeypatch):
+    # [[n, 2n]] with f = n^2 + 2: N delta(n) = n + 1/2, so delta(n) is not
+    # integral; each residue fails with the reason, and no field is built
+    def no_field(spec, n):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(family, "instantiate", no_field)
+    argv = ["--f-poly", "2,0,1", "--a-polys", "0,1;0,2", "--q", "3"]
+    code, out = run(capsys, ["family", *argv])
+    assert code == EXIT_HYPOTHESIS
+    report = json.loads(out)
+    assert report["rows"] == []
+    assert report["failures"] == [{"r": r, "error": UNDECIDED} for r in range(3)]
+    assert main(["lfunc", *argv]) == EXIT_HYPOTHESIS
+    assert capsys.readouterr().err == f"hypothesis violation: {UNDECIDED}\n"
+
+
+@pytest.mark.parametrize("q", range(2, 8))
+def test_repeated_period_reports_equal_the_primitive_ones(capsys, q):
+    # [[2n, n, 2n, n]] is [[2n, n]] spelt twice: the same delta(n)
+    outs = []
+    for a_polys in ("0,2;0,1;0,2;0,1", "0,2;0,1"):
+        for command in ("family", "lfunc"):
+            code = main([command, "--f-poly", "2,0,1", "--a-polys", a_polys, "--q", str(q)])
+            outs.append((command, code, *capsys.readouterr()))
+    assert outs[:2] == outs[2:]
+
+
+small_polys = st.lists(st.integers(-1, 3), min_size=1, max_size=3).map(
+    lambda cs: ",".join(map(str, cs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polys, st.lists(small_polys, min_size=1, max_size=3), st.integers(2, 5))
+def test_family_on_random_inline_families_exits_with_a_code(f_poly, a_polys, q):
+    argv = ["family", "--f-poly", f_poly, "--a-polys", ";".join(a_polys),
+            "--q", str(q), "--k-range", "0:4", "--out", os.devnull]
+    assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_INTERNAL)
 
 
 # sha256 of the stdout of each command; any change to a report shows here.

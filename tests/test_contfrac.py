@@ -161,6 +161,7 @@ def test_plus_to_minus_matches_direct_expansion():
     K = QuadField(3)
     cf = plus_cf(K.elem(1, 1))
     mcf = plus_to_minus(cf)
+    assert mcf == minus_cf(cf_value(cf) + 1)
     assert mcf.terms == minus_cf(K.elem(2, 1)).terms == (4,)
 
 
@@ -172,7 +173,8 @@ def test_plus_to_minus_cross_validated(pair, Delta):
         cf = plus_cf(x)
     except NotReducedError:
         pytest.skip("not reduced")
-    mcf = plus_to_minus(cf)  # validate=True checks against minus_cf(x + 1)
+    mcf = plus_to_minus(cf)
+    assert mcf == minus_cf(cf_value(cf) + 1) == minus_cf(x + 1)
     assert all(b >= 2 for b in mcf.terms)
 
 
@@ -181,6 +183,7 @@ def test_minus_cf_term_structure():
     K = QuadField(11)
     cf = plus_cf(K.elem(3, 1))
     mcf = plus_to_minus(cf)
+    assert mcf == minus_cf(cf_value(cf) + 1)
     a = cf.terms
     assert mcf.m == sum(a[2 * j - 1] for j in range(1, pair_count(cf.s) + 1))
     assert mcf.terms.count(2) == mcf.m - pair_count(cf.s)
@@ -256,7 +259,7 @@ def test_run_length_minus_cf_and_unit_on_presets(name):
         delta = cf_value(cf) + 1
         mcf = minus_cf(delta)
         terms = per_term_minus_cf(delta)
-        assert mcf.terms == terms and mcf == plus_to_minus(cf, validate=False), n
+        assert mcf.terms == terms and mcf == plus_to_minus(cf), n
         basis = ModuleBasis(delta)
         assert fundamental_unit_totally_positive(basis, mcf) == per_term_unit(basis, terms), n
 
@@ -276,7 +279,7 @@ def test_period_limit_counts_terms_not_runs():
     delta = QuadField(n * n + 2).elem(n + 1, 1)
     with pytest.raises(LimitError):
         minus_cf(delta)
-    assert minus_cf(delta, max_period=n) == plus_to_minus(PeriodicCF((2 * n, n)), validate=False)
+    assert minus_cf(delta, max_period=n) == plus_to_minus(PeriodicCF((2 * n, n)))
     assert minus_cf(delta, max_period=n).runs == ((2 * n + 2, 1), (2, n - 1))
 
 

@@ -1,11 +1,12 @@
 """Tests for the quasi-polynomial engine over polynomial families."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from rayzeta import family
-from rayzeta.contfrac import PeriodicCF, plus_to_minus, s_indices
+from rayzeta.contfrac import PeriodicCF, cf_value, minus_cf, plus_to_minus, s_indices
 from rayzeta.exactmath import LimitError, frac_unit
 from rayzeta.family import (
     A_im,
@@ -120,14 +121,14 @@ def test_residue_data_equals_yamamoto_xy(name):
     # coeffs_closed takes Gamma from s_indices and the nu numerators from the
     # integer recursion over the index rule applied to the gamma_i; both
     # equal the hand-written tables, and the numerators equal q * yamamoto_xy
-    # over the minus CF that plus_to_minus checks against the ceiling algorithm
+    # over the minus CF of plus_to_minus, which equals the ceiling algorithm's
     cases = 0
     for q in range(2, 12):
         spec = PRESETS[name].with_q(q)
         for r in range(q):
             rcf = PeriodicCF(tuple(gamma_tau(spec, r)[0]))
             mcf = plus_to_minus(rcf)
-            assert plus_to_minus(rcf, validate=False) == mcf
+            assert mcf == minus_cf(cf_value(rcf) + 1)
             Gammas = s_indices(rcf)
             assert Gammas[-1] == mcf.m
             for C in range(q):
@@ -239,10 +240,28 @@ def test_first_instances_skips_below_range():
 
 
 def test_uncertifiable_family_raises():
-    # f(n) = 4(n+1)^2 is never squarefree
+    # f(n) = 4(n+1)^2 is never squarefree: delta(n) is that of rd-n2p2, so its
+    # trace and norm are decided, but no residue holds a field
     spec = FamilySpec("adv", (4, 8, 4), ((0, 2), (0, 1)), 2, (0, 100))
-    with pytest.raises(HypothesisError):
+    assert delta_trace_norm(spec) == TRACE_NORM["rd-n2p2"]
+    with pytest.raises(HypothesisError, match="^fewer than two usable samples for r=0$"):
         norm_invariance_check(spec, RayLabel(1, 0, 2), 0)
+    for r in range(2):
+        with pytest.raises(HypothesisError, match=f"^could not find 1 squarefree .* residue {r}$"):
+            ResidueContext(spec, r)
+
+
+def test_radicand_other_than_f_is_refused_where_a_field_is_built():
+    # [[2n, n]] with f off by a constant: the trace and norm of delta(n)
+    # are in Z[n], so the label side is decided; f(n) = n^2 + 3 is
+    # checked by instantiate against the radicand n^2 + 2 of delta(n)
+    spec = FamilySpec("adv", (3, 0, 1), ((0, 2), (0, 1)), 2, (1, 100))
+    assert delta_trace_norm(spec) == TRACE_NORM["rd-n2p2"]
+    radicand = r"^Q\(delta\(2\)\) has radicand 6, expected f\(2\) = 7$"
+    with pytest.raises(HypothesisError, match=radicand):
+        instantiate(spec, 2)
+    with pytest.raises(HypothesisError, match="has radicand"):
+        quasi_poly(spec, RayLabel(1, 0, 2), 0)
 
 
 def test_lagrange_fit_recovers_polynomial():
@@ -301,14 +320,41 @@ def test_delta_trace_norm_on_presets(name):
 
 
 @pytest.mark.parametrize("f_poly,a_polys", [
-    ((4, 8, 4), ((0, 2), (0, 1))),  # A9's tripwire: beta^2 - gamma = n^2 + 2
-    ((2, 0, 1), ((0, 1), (0, 2))),  # [[n, 2n]]: gamma = -1/2 is not in Z[n]
-    ((3, 0, 1), ((0, 2), (0, 1))),  # right CF, f off by a constant
+    ((2, 0, 1), ((0, 1), (0, 2))),  # [[n, 2n]]: N delta = n + 1/2
+    ((2, 0, 1), ((1,), (0, 1))),  # [[1, n]]: N delta = 2 - 1/n
+    ((2, 0, 1), ((1,), (1,), (0, 1))),  # [[1, 1, n]]: tr delta = 2 + 2n/(n + 1)
 ])
 def test_delta_trace_norm_rejects(f_poly, a_polys):
     assert delta_trace_norm(FamilySpec("adv", f_poly, a_polys, 2, (0, 100))) is None
 
 
+def trace_norm_of_x(a_terms):
+    """tr x and N x for x = [[a_terms]], as Fractions, from the convergents."""
+    p_prev, p, q_prev, q = 1, a_terms[0], 0, 1
+    for a in a_terms[1:]:
+        p_prev, p, q_prev, q = p, a * p + p_prev, q, a * q + q_prev
+    return Fraction(p - q_prev, q), Fraction(-p_prev, q)
+
+
+def test_delta_trace_norm_decides_every_pointwise_integral_family():
+    # every family with s <= 2 and each a_i of degree 1 or 2, coefficients
+    # 0..3: where tr x and N x (x = delta - 1) are integers for n = 1..30,
+    # they are polynomials in Z[n], so delta_trace_norm decides the family;
+    # where it does, its polynomials give the trace and norm at each n
+    polys = [(c0, c1, c2) for c0 in range(4) for c1 in range(4) for c2 in range(4)
+             if c1 or c2]
+    families = [(a,) for a in polys] + [(a, b) for a in polys for b in polys]
+    decided = 0
+    for a_polys in families:
+        got = delta_trace_norm(FamilySpec("guard", (2, 0, 1), a_polys, 2))
+        values = [trace_norm_of_x([poly_eval(a, n) for a in a_polys]) for n in range(1, 31)]
+        integral = all(t.denominator == nx.denominator == 1 for t, nx in values)
+        assert (got is not None) == integral, a_polys
+        if got is not None:
+            decided += 1
+            assert all((poly_eval(got[0], n), poly_eval(got[1], n)) == (2 + t, 1 + t + nx)
+                       for n, (t, nx) in enumerate(values, 1)), a_polys
+    assert (len(families), decided) == (3660, 164)
 def matrix_mod(ctx, q):
     return tuple(tuple(int(e) % q for e in row) for row in mult_matrix(ctx.eps, ctx.basis))
 
@@ -345,26 +391,46 @@ def test_residue_context_equals_instance_data(name):
     assert cases == 3 * (sum(range(2, 12)) - empty)
 
 
-def test_residue_context_without_symbolic_norms_reads_a_field():
-    # delta(n) = 1 + [[2n + 1]] = (2n + 3 + sqrt(4n^2 + 4n + 5))/2 has integral
-    # trace and norm, but B/2A = -(2n + 1)/2 is not in Z[n]: the symbolic
-    # test rejects the family, so the norms come from its first field
+def no_field(spec, n):
+    raise AssertionError("a field was built")
+
+
+def test_residue_context_of_half_integral_beta_is_symbolic(monkeypatch):
+    # delta(n) = 1 + [[2n + 1]] = (2n + 3 + sqrt(4n^2 + 4n + 5))/2: B/2A =
+    # -(2n + 1)/2 is not in Z[n], but tr delta = 2n + 3 and N delta = 2n + 1
+    # are, so its residue contexts build no field and equal its fields
     spec = FamilySpec("half", (5, 4, 4), ((1, 2),), 3, (0, 100))
-    assert delta_trace_norm(spec) is None
+    assert delta_trace_norm(spec) == ((3, 2), (1, 2))
+    monkeypatch.setattr(family, "instantiate", no_field)
+    rctxs = [ResidueContext(spec, r) for r in range(3)]
+    monkeypatch.undo()
+    labels = [RayLabel(C, D, 3) for C in range(3) for D in range(3) if C or D]
+    for r, rctx in enumerate(rctxs):
+        for inst in first_instances(spec, r, 2):
+            ctx = inst.ctx
+            assert (rctx.lam, rctx.matrix) == (ctx.lam, matrix_mod(ctx, 3))
+            assert [rctx.norm_of(lab) for lab in labels] == [
+                ctx.norm_of(lab) % 3 for lab in labels]
+            assert f_delta(rctx) == f_delta(ctx)
+            for lab in f_delta(rctx):
+                assert orbit(lab, rctx) == ctx.orbit_of(lab)
+
+
+UNDECIDED = "trace and norm of delta(n) are not both in Z[n]: norm invariance is undecided"
+
+
+def test_undecided_family_is_refused_without_a_field(monkeypatch):
+    # [[n, 2n]] with f = n^2 + 2: N delta(n) = n + 1/2 is not in Z[n]
+    spec = FamilySpec("undecided", (2, 0, 1), ((0, 1), (0, 2)), 3, (1, 100))
+    monkeypatch.setattr(family, "instantiate", no_field)
     for r in range(3):
-        rctx = ResidueContext(spec, r)
-        inst = first_instances(spec, r, 1)[0]
-        assert rctx.witness is not None and rctx.witness.basis == inst.ctx.basis
-        assert f_delta(rctx) == f_delta(inst.ctx)
-        assert (rctx.lam, rctx.matrix) == (inst.ctx.lam, matrix_mod(inst.ctx, 3))
-        for lab in f_delta(rctx):
-            assert orbit(lab, rctx) == orbit(lab, inst.ctx)
+        with pytest.raises(HypothesisError, match=f"^{re.escape(UNDECIDED)}$"):
+            ResidueContext(spec, r)
+        with pytest.raises(HypothesisError, match=f"^{re.escape(UNDECIDED)}$"):
+            norm_invariance_check(spec, RayLabel(1, 0, 3), r)
 
 
 def test_norm_invariance_builds_no_field_when_decided_symbolically(monkeypatch):
-    def no_field(spec, n):
-        raise AssertionError("a field was built")
-
     monkeypatch.setattr(family, "instantiate", no_field)
     for name in PRESETS:
         spec = PRESETS[name].with_q(5)
@@ -396,6 +462,14 @@ def test_period_limit_is_decided_before_squarefree_certification(monkeypatch):
     for n in (1000003, 2 * 10**9):
         with pytest.raises(LimitError, match="^minus CF period not found within 1000000 terms$"):
             instantiate(spec, n)
+
+
+def test_family_spec_keeps_the_primitive_period():
+    # a period repeated t times gives the same delta(n)
+    assert FamilySpec("x", (2, 0, 1), ((0, 2), (0, 1)) * 2, 2).a_polys == ((0, 2), (0, 1))
+    assert FamilySpec("x", (5, 4, 4), ((1, 2),) * 3, 2).a_polys == ((1, 2),)
+    # trailing zero coefficients do not hide a repeat
+    assert FamilySpec("x", (2, 0, 1), ((0, 2), (0, 2, 0)), 2).a_polys == ((0, 2),)
 
 
 def test_period_limit_counts_the_primitive_period():

@@ -52,6 +52,17 @@ def test_from_generators_requires_generating_set():
         DirichletChar.from_generators(5, 2, {4: 1})  # 4 generates only {1,4}
 
 
+def test_modulus_below_two_is_a_character_error():
+    for q in (1, 0, -3):
+        message = f"^modulus must be >= 2 and order >= 1, got {q} and 1$"
+        with pytest.raises(CharacterError, match=message):
+            DirichletChar.from_exponents(q, 1, {0: 0, 1: 0})
+        with pytest.raises(CharacterError, match=message):
+            DirichletChar.trivial(q)
+    with pytest.raises(CharacterError, match="^modulus must be >= 2 and order >= 1, got 1 and 1$"):
+        DirichletChar.from_generators(1, 1, {})
+
+
 def test_char_span_arithmetic():
     a = CharSpanValue.from_dict({1: Fraction(1, 2), 2: Fraction(-1, 3)})
     b = CharSpanValue.from_dict({2: Fraction(1, 3), 3: Fraction(5)})
