@@ -332,8 +332,8 @@ def cmd_zeta(args) -> int:
 
 def cmd_family(args) -> int:
     spec = family_from_args(args)
-    ks = parse_k_range(args.k_range) if args.k_range else range(0, 7)
-    want = parse_label(args.label, spec.q) if args.label else None
+    ks = parse_k_range(args.k_range) if args.k_range is not None else range(0, 7)
+    want = parse_label(args.label, spec.q) if args.label is not None else None
     report = {
         "command": "family",
         "family": spec.name,
@@ -373,7 +373,7 @@ def cmd_family(args) -> int:
                 "denominator_bounds_ok": denom_bounds_ok(qp, r),
             }
             try:
-                fit = fit_oracle(spec, lab, r, ks)
+                fit = fit_oracle(spec, lab, r, ks, rctx)
                 row["oracle_ok"] = bool(
                     fit.consistent
                     and fit.coeffs == tuple(row["k_coeffs"])
@@ -393,7 +393,7 @@ def cmd_family(args) -> int:
 
 def cmd_lfunc(args) -> int:
     spec = family_from_args(args)
-    chi = parse_char(args.char, spec.q) if args.char else DirichletChar.trivial(spec.q)
+    chi = DirichletChar.trivial(spec.q) if args.char is None else parse_char(args.char, spec.q)
     lqp = hecke_L0_family(spec, chi)
     report = {
         "command": "lfunc",
@@ -427,7 +427,7 @@ def cmd_verify(args) -> int:
     from .verify import CRITERIA, check_params, run_criterion
 
     names = sorted(CRITERIA)
-    if args.criterion:
+    if args.criterion is not None:
         names = [c.strip() for c in args.criterion.split(",")]
         unknown = [c for c in names if c not in CRITERIA]
         if unknown:

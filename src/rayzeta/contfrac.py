@@ -228,12 +228,18 @@ def s_indices(cf: PeriodicCF) -> list[int]:
     return out
 
 
+def primitive_period(terms: tuple) -> tuple:
+    """The shortest prefix of which `terms` is a repetition."""
+    s = len(terms)
+    return next(terms[:p] for p in range(1, s + 1) if s % p == 0 and terms == terms[:p] * (s // p))
+
+
 def minus_period(terms: tuple[int, ...]) -> int:
     """The least period m of the minus CF of 1 + [[terms]], terms >= 1, in
     O(s) per divisor of s: `s_indices`' last S_j on the primitive period (a
     period repeated t times would give t*m)."""
-    s = len(terms)
-    p = next(p for p in range(1, s + 1) if s % p == 0 and terms == terms[:p] * (s // p))
+    terms = primitive_period(terms)
+    p = len(terms)
     return sum(terms[(2 * j - 1) % p] for j in range(1, pair_count(p) + 1))
 
 

@@ -20,14 +20,15 @@ paper's norm invariance is decided exactly by `delta_trace_norm`: the trace
 and norm of delta(n) either lie in Z[n], or the family is refused with a
 HypothesisError.  Fields are built only for the direct zeta values that
 check the closed forms, and `instantiate` checks f(n) against the radicand
-of each.
+of each.  A command keeps one residue context per residue, and its
+`FieldTable`, so each field is built at most once per command.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from math import comb
 
 from .contfrac import (
@@ -36,6 +37,7 @@ from .contfrac import (
     cf_value,
     minus_period,
     plus_to_minus,
+    primitive_period,
     s_indices,
 )
 from .exactmath import LimitError, residue_one, term12
@@ -131,9 +133,7 @@ class FamilySpec:
         if not self.a_polys:
             raise ValueError("need at least one CF term polynomial")
         a = tuple(poly[: poly_degree(poly) + 1] for poly in self.a_polys)
-        s = len(a)
-        p = next(p for p in range(1, s + 1) if s % p == 0 and a == a[:p] * (s // p))
-        object.__setattr__(self, "a_polys", a[:p])
+        object.__setattr__(self, "a_polys", primitive_period(a))
 
     @property
     def s(self) -> int:
@@ -267,6 +267,38 @@ def residue_ns(spec: FamilySpec, r: int, limit: int):
     return (n for n in range(r, spec.q * limit + r, spec.q) if n >= spec.n_range[0])
 
 
+class FieldTable:
+    """The fields K_n, n = r mod q, that one command uses: n maps to its
+    `FieldInstance`, to None where f(n) is not squarefree, or to the
+    HypothesisError that refused it.  Each entry takes one `instantiate`
+    call, and the table lives as long as its owner, not the process."""
+
+    def __init__(self, spec: FamilySpec, r: int):
+        self.spec, self.r, self.built = spec, r, {}
+
+    def field(self, n: int) -> FieldInstance | None:
+        if n not in self.built:
+            try:
+                self.built[n] = instantiate(self.spec, n)
+            except NonSquarefreeSkip:
+                self.built[n] = None
+            except HypothesisError as e:
+                self.built[n] = e
+        if isinstance(self.built[n], HypothesisError):
+            raise self.built[n]
+        return self.built[n]
+
+    def first(self, count: int) -> list[FieldInstance]:
+        """The first `count` usable instances, from the start of the range."""
+        fields = map(self.field, residue_ns(self.spec, self.r, max(count * 16, 128)))
+        out = list(islice(filter(None, fields), count))  # builds no field past them
+        if len(out) < count:
+            raise HypothesisError(
+                f"could not find {count} squarefree instances for residue {self.r}"
+            )
+        return out
+
+
 def first_usable(spec: FamilySpec, r: int, count: int, limit: int) -> list[int]:
     """The first `count` n = qk + r, k < limit, in the family's range with
     f(n) squarefree; `checked_terms` raises on each as `instantiate` would."""
@@ -319,9 +351,10 @@ class ResidueContext:
     The matrix comes from the unit recurrence (`quadfield.boundary_coords`)
     over the residue minus CF that `coeffs_closed` sums: a run of k 2s
     enters it linearly in k, so mod q only k mod q matters.  The norms come
-    from `delta_trace_norm` at r.  No field is built.  Raises HypothesisError
-    when the trace and norm of delta(n) are not in Z[n], and, as
-    `first_instances(spec, r, 1)` does, when the residue holds no field.
+    from `delta_trace_norm` at r.  No field is built: the `fields` table
+    starts empty.  Raises HypothesisError when the trace and norm of delta(n)
+    are not in Z[n], and, as `first_instances(spec, r, 1)` does, when the
+    residue holds no field.
     """
 
     def __init__(self, spec: FamilySpec, r: int):
@@ -335,6 +368,7 @@ class ResidueContext:
         # columns (u, v), (u1, v1) are eps^-1 and eps^-1*delta; eps is the adjugate
         self.matrix = ((v1 % q, -u1 % q), (-v % q, u % q))
         self.lam = matrix_order(self.matrix, q)
+        self.fields = FieldTable(spec, r)
 
     def norm_of(self, label: RayLabel) -> int:
         """The norm of (C + D*delta(n))*b mod q, the same for every n = r mod q."""
@@ -494,19 +528,7 @@ def norm_invariance_check(spec: FamilySpec, label: RayLabel, r: int) -> bool:
 
 def first_instances(spec: FamilySpec, r: int, count: int) -> list[FieldInstance]:
     """The first `count` usable instances with n congruent to r."""
-    out = []
-    for n in residue_ns(spec, r, max(count * 16, 128)):
-        if len(out) == count:
-            break
-        try:
-            out.append(instantiate(spec, n))
-        except NonSquarefreeSkip:
-            pass
-    if len(out) < count:
-        raise HypothesisError(
-            f"could not find {count} squarefree instances for residue {r}"
-        )
-    return out
+    return FieldTable(spec, r).first(count)
 
 
 def quasi_poly(
@@ -515,11 +537,12 @@ def quasi_poly(
     """Closed-form k-form quasi-polynomial of zeta_q(0, (C+D*delta(n))*b) for
     n = qk + r, assembled over the orbit of the label per the residue-level
     coefficient formulas; self-verified against direct evaluation at two k.
-    The orbit comes from the residue context `rctx`, built here if not given.
+    The orbit and both fields come from `rctx`, built here if not given.
     """
     norm_invariance_check(spec, label, r)
-    witnesses = first_instances(spec, r, 2)
-    members = orbit(label, rctx or ResidueContext(spec, r))
+    rctx = rctx or ResidueContext(spec, r)
+    witnesses = rctx.fields.first(2)
+    members = orbit(label, rctx)
     coeffs = [Fraction(0)] * (spec.d + 1)
     for member in members:
         part = coeffs_closed(spec, member, r)
@@ -573,21 +596,20 @@ def lagrange_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:
 
 
 def fit_oracle(
-    spec: FamilySpec, label: RayLabel, r: int, k_values
+    spec: FamilySpec, label: RayLabel, r: int, k_values, rctx: ResidueContext | None = None
 ) -> FitResult:
     """Independent oracle: exact Lagrange fit of direct zeta values at
     n = qk + r over the usable k, with a consistency flag certifying that
-    the extra points lie on the degree-<=d polynomial."""
+    the extra points lie on the degree-<=d polynomial.  The fields come from
+    the table of the residue context `rctx`, or from a table of their own."""
     d = spec.d
     usable, skipped = sample_ks(spec, r, k_values)
     if len(usable) < d + 2:
         raise HypothesisError(
             f"need at least {d + 2} squarefree samples, got {len(usable)}"
         )
-    points = []
-    for k in usable:
-        inst = instantiate(spec, spec.q * k + r)
-        points.append((k, partial_zeta0(inst.ctx, label)))
+    fields = rctx.fields if rctx else FieldTable(spec, r)
+    points = [(k, partial_zeta0(fields.field(spec.q * k + r).ctx, label)) for k in usable]
     fit = lagrange_fit(points[: d + 1])
     consistent = all(
         sum((c * k**p for p, c in enumerate(fit)), Fraction(0)) == v

@@ -18,7 +18,6 @@ from .family import (
     FamilySpec,
     ResidueContext,
     VerificationError,
-    first_instances,
     quasi_poly,
 )
 from .shintani import ConeContext, RayLabel, f_delta, orbit, partial_zeta0
@@ -193,9 +192,9 @@ def hecke_L0_family(
 ) -> LValueQuasiPoly:
     """Quasi-polynomial (in k, per residue r) of the family's L-values at 0.
 
-    The representatives and their character symbols come from each
-    residue's `ResidueContext`; every residue is verified exactly against an
-    L-value assembled directly on its first field.
+    The representatives, their character symbols and the fields come from
+    each residue's `ResidueContext`; every residue is verified exactly
+    against an L-value assembled directly on its first field.
     """
     if chi.modulus != spec.q:
         raise CharacterError("character modulus must equal q")
@@ -203,7 +202,7 @@ def hecke_L0_family(
     out: dict[int, list[CharSpanValue]] = {}
     for r in residues:
         rctx = ResidueContext(spec, r)
-        witness = first_instances(spec, r, 1)[0]
+        witness = rctx.fields.first(1)[0]
         vecs = [CharSpanValue.zero() for _ in range(spec.d + 1)]
         for rep in orbit_representatives(rctx):
             sym = ray_char_value(chi, rctx.norm_of(rep))

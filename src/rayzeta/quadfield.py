@@ -163,21 +163,6 @@ class QuadElem:
             return self * other.inverse()
         return self * (1 / Fraction(other))
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.elem(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def sign(self) -> int:
         """Sign of the real value a + b*sqrt(Delta), decided exactly."""
         a, b, d = self.a, self.b, self.field.Delta
@@ -198,17 +183,9 @@ class QuadElem:
         diff = self - other
         return diff.sign() < 0
 
-    def __le__(self, other):
-        diff = self - other
-        return diff.sign() <= 0
-
     def __gt__(self, other):
         diff = self - other
         return diff.sign() > 0
-
-    def __ge__(self, other):
-        diff = self - other
-        return diff.sign() >= 0
 
     def floor(self) -> int:
         """Exact floor of the real value."""

@@ -541,3 +541,51 @@ def test_zeta_computes_each_norm_and_orbit_once(capsys, monkeypatch):
     assert {(C, D) for kind, C, D in calls if kind == "orbit"} == {
         (row["C"], row["D"]) for row in rows}
     assert sum(kind == "norm" for kind, _, _ in calls) == 24  # every (C, D) != (0, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--preset", "rd-n2p2", "--q", "5", "--label", "1,0", "--k-range", "0:6"],
+    ["lfunc", "--preset", "rd-n2p2", "--q", "5", "--char", "5:4:2=1"],
+])
+def test_each_field_is_built_once_per_command(capsys, monkeypatch, argv):
+    # the witnesses, the oracle's samples and the direct L-values share the
+    # field table of their residue context
+    from collections import Counter
+
+    built = Counter()
+    instantiate = family.instantiate
+
+    def counted(spec, n):
+        built[n] += 1
+        return instantiate(spec, n)
+
+    monkeypatch.setattr(family, "instantiate", counted)
+    code, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert built and max(built.values()) == 1
+
+
+def test_no_field_outlives_its_command(capsys, monkeypatch):
+    # the second command builds its fields again, under the lowered cap
+    argv = ["family", "--preset", "rd-n2p2", "--q", "3"]
+    assert run(capsys, argv)[0] == EXIT_OK
+    monkeypatch.setenv("RAYZETA_MAX_TERMS", "1")
+    assert run_err(capsys, argv) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, key, message", [
+    ("family", "label", "label must be C,D — got ''"),
+    ("family", "k_range", "k-range must be lo:hi — got ''"),
+    ("lfunc", "char", "character must be modulus:order:g=e[,g=e...] — got ''"),
+    ("verify", "criterion", f"unknown criteria ['']; available: {sorted(verify.CRITERIA)}"),
+], ids=["family-label", "family-k-range", "lfunc-char", "verify-criterion"])
+def test_empty_flag_value_is_config_error(tmp_path, capsys, command, key, message):
+    # an empty value is parsed, not taken for an absent flag, on the command
+    # line and in a config document alike
+    family_args = [] if command == "verify" else ["--preset", "rd-n2p2", "--q", "3"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: ""}))
+    for argv in ([command, *family_args, f"--{key.replace('_', '-')}="],
+                 [command, *family_args, "--config", str(cfg)]):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,6 +1,7 @@
 """Tests for the quasi-polynomial engine over polynomial families."""
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from rayzeta.family import (
     NonSquarefreeSkip,
     PRESETS,
     QuasiPoly,
+    FieldTable,
     ResidueContext,
     coeffs_closed,
     delta_trace_norm,
@@ -477,3 +479,26 @@ def test_period_limit_counts_the_primitive_period():
     spec = FamilySpec("twice", (2, 0, 1), ((0, 2), (0, 1), (0, 2), (0, 1)), 2, (1, 10**6))
     inst = instantiate(spec, 700000)
     assert inst.ctx.mcf.m == 700000
+
+
+def test_field_table_builds_each_n_once(monkeypatch):
+    built = Counter()
+    instantiate = family.instantiate
+
+    def counted(spec, n):
+        built[n] += 1
+        return instantiate(spec, n)
+
+    monkeypatch.setattr(family, "instantiate", counted)
+    table = FieldTable(PRESETS["rd-n2p2"].with_q(2), 0)
+    assert [inst.n for inst in table.first(2)] == [2, 6]  # f(4) = 18 is skipped
+    assert table.field(4) is None
+    assert table.first(1)[0] is table.field(2)
+    assert built == {2: 1, 4: 1, 6: 1}
+    # a refused field is refused again without a second build
+    built.clear()
+    table = FieldTable(FamilySpec("adv", (3, 0, 1), ((0, 2), (0, 1)), 2, (1, 100)), 0)
+    for _ in range(2):
+        with pytest.raises(HypothesisError, match="has radicand 6, expected f"):
+            table.field(2)
+    assert built == {2: 1}
