@@ -160,7 +160,7 @@ def load_config(path: str) -> dict:
 
 def merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the --config document (flags win)."""
-    if not getattr(args, "config", None):
+    if getattr(args, "config", None) is None:
         return args
     doc = load_config(args.config)
     for key, value in doc.items():
@@ -193,9 +193,22 @@ def family_from_args(args) -> FamilySpec:
 # report rendering
 
 
-def fraction_str(obj) -> str:
-    """A Fraction as "num/den"; TypeError for any other type, so that it can
-    serve as the `default` hook of `json.dumps` (as in `render_csv`)."""
+class TermRuns:
+    """A minus CF's terms in a report, held as its runs (b, k), so that
+    `_json_text` writes them run by run instead of term by term."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs):
+        self.runs = runs
+
+
+def fraction_str(obj) -> str | list:
+    """A Fraction as "num/den" and `TermRuns` as its list of terms;
+    TypeError for any other type, so that it can serve as the `default`
+    hook of `json.dumps` (as in `render_csv`)."""
+    if isinstance(obj, TermRuns):
+        return [b for b, k in obj.runs for _ in range(k)]
     if not isinstance(obj, Fraction):
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
     return f"{obj.numerator}/{obj.denominator}"
@@ -211,6 +224,9 @@ def _json_text(obj, indent: str) -> str:
         return encode_basestring_ascii(obj)  # json's own escaping
     if isinstance(obj, Fraction):
         return encode_basestring_ascii(fraction_str(obj))
+    if isinstance(obj, TermRuns):  # never empty: a period has a run
+        body = "".join(f"{indent}  {b},\n" * k for b, k in obj.runs)
+        return "[\n" + body[:-2] + "\n" + indent + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -226,12 +242,7 @@ def _json_text(obj, indent: str) -> str:
         if not obj:
             return "[]"
         inner = indent + "  "
-        if {*map(type, obj)} == {int}:  # bools and int subclasses take the slow path
-            # A minus CF has m terms but few distinct values: format each once.
-            text = {v: inner + repr(v) for v in {*obj}}
-            body = ",\n".join(map(text.__getitem__, obj))
-        else:
-            body = ",\n".join([inner + _json_text(v, inner) for v in obj])
+        body = ",\n".join([inner + _json_text(v, inner) for v in obj])
         return "[\n" + body + "\n" + indent + "]"
     if obj is True:
         return "true"
@@ -272,7 +283,7 @@ def render_csv(report: dict) -> str:
 
 def emit(report: dict, args) -> None:
     text = render_csv(report) if args.format == "csv" else render_json(report)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -313,7 +324,7 @@ def cmd_zeta(args) -> int:
         if not labels:
             raise ConfigError(f"label {args.label} is not in F_delta")
     report["Delta"] = ctx.basis.delta.field.Delta
-    report["minus_cf"] = ctx.mcf.terms
+    report["minus_cf"] = TermRuns(ctx.mcf.runs)
     report["lambda"] = ctx.lam
     report["m"] = ctx.mcf.m
     for lab in labels:

@@ -14,12 +14,10 @@ tuple is built only where a caller asks for `MinusCF.terms`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, isqrt
 
-from .exactmath import LimitError
+from .exactmath import LimitError, Record
 from .quadfield import QuadElem, QuadField, conj, squarefree_part
 
 
@@ -30,15 +28,16 @@ class NotReducedError(ValueError):
     """Input surd fails the reduction hypothesis for the requested expansion."""
 
 
-@dataclass(frozen=True)
-class PeriodicCF:
+class PeriodicCF(Record):
     """One period of a purely periodic plus continued fraction."""
 
-    terms: tuple[int, ...]
+    __slots__ = ()
+    _fields = ("terms",)
 
-    def __post_init__(self):
-        if not self.terms or min(self.terms) < 1:
+    def __new__(cls, terms: tuple[int, ...]) -> PeriodicCF:
+        if not terms or min(terms) < 1:
             raise ValueError("plus CF terms must be positive integers")
+        return tuple.__new__(cls, (terms,))
 
     @property
     def s(self) -> int:
@@ -56,23 +55,26 @@ def _push(runs: list[Run], b: int, k: int) -> None:
         runs.append((b, k))
 
 
-@dataclass(frozen=True)
-class MinusCF:
+class MinusCF(Record):
     """One period of a periodic minus (ceiling) continued fraction, as runs
-    (b, k) of k equal terms b; neighbouring runs have different b."""
+    (b, k) of k equal terms b; neighbouring runs have different b.  The
+    period length m, the number of terms (not of runs), is counted once, as
+    the runs are checked."""
 
-    runs: tuple[Run, ...]
+    __slots__ = ()
+    _fields = ("runs", "m")
 
-    def __post_init__(self):
-        if not self.runs:
+    def __new__(cls, runs: tuple[Run, ...]) -> MinusCF:
+        if not runs:
             raise ValueError("a minus CF period needs at least one run")
-        prev = None
-        for b, k in self.runs:
+        prev, m = None, 0
+        for b, k in runs:
             if b < 2 or k < 1:
                 raise ValueError("minus CF runs must be (b, k) with b >= 2, k >= 1")
             if b == prev:
                 raise ValueError("neighbouring minus CF runs must differ in b")
-            prev = b
+            prev, m = b, m + k
+        return tuple.__new__(cls, (runs, m))
 
     @classmethod
     def from_runs(cls, runs) -> "MinusCF":
@@ -81,11 +83,6 @@ class MinusCF:
         for b, k in runs:
             _push(out, b, k)
         return cls(tuple(out))
-
-    @cached_property
-    def m(self) -> int:
-        """The period length: the number of terms, not of runs."""
-        return sum(k for _, k in self.runs)
 
     @property
     def terms(self) -> tuple[int, ...]:

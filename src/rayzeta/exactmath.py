@@ -9,17 +9,44 @@ a `Fraction` only once, at the end.  `term12` is the one per-term kernel;
 `shintani.progression_sum` sums a whole run of 2s in the minus CF with it.
 `bernoulli1` and `bernoulli2` are the `Fraction` forms that the tests check
 `term12` against.
+
+`Record` is the base of the package's immutable value types.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 
 class LimitError(RuntimeError):
     """A resource limit is exceeded: the series-term cap, the squarefree
     certification bound or a continued-fraction period bound; or
     RAYZETA_MAX_TERMS is not an integer."""
+
+
+class Record(tuple):
+    """An immutable value: a tuple of the fields named in `_fields`, each
+    read through a property.  Equality and hashing are the tuple's, so a
+    record is a cheap dict key.  A subclass validates in its own `__new__`
+    before calling `tuple.__new__`.  Unlike `dataclasses` and
+    `collections.namedtuple`, defining a record generates no code."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, *values):
+        if len(values) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(values)}")
+        return tuple.__new__(cls, values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
 
 
 def bernoulli1(x: Fraction) -> Fraction:

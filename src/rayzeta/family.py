@@ -26,7 +26,6 @@ of each.  A command keeps one residue context per residue, and its
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, zip_longest
 from math import comb
@@ -40,8 +39,8 @@ from .contfrac import (
     primitive_period,
     s_indices,
 )
-from .exactmath import LimitError, residue_one, term12
-from .quadfield import ModuleBasis, boundary_coords, is_squarefree, matrix_order
+from .exactmath import LimitError, Record, residue_one, term12
+from .quadfield import ModuleBasis, boundary_coords, is_squarefree, matrix_order, norm, trace
 from .shintani import (
     ConeContext,
     RayLabel,
@@ -114,26 +113,23 @@ def poly_div(p: Poly, d: Poly) -> Poly | None:
     return None if any(rem) else tuple(quot)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """f(x), the CF term polynomials a_i(x), and the modulus q.  The a_i are
-    kept without trailing zero coefficients and as their primitive period:
-    a period repeated t times has the same delta(n), but its residue data
-    would be that of eps^t."""
+class FamilySpec(Record):
+    """f(x), the CF term polynomials a_i(x), the modulus q and the range of
+    n.  The a_i are kept without trailing zero coefficients and as their
+    primitive period: a period repeated t times has the same delta(n), but
+    its residue data would be that of eps^t."""
 
-    name: str
-    f_poly: Poly
-    a_polys: tuple[Poly, ...]
-    q: int
-    n_range: tuple[int, int] = (0, 60)
+    __slots__ = ()
+    _fields = ("name", "f_poly", "a_polys", "q", "n_range")
 
-    def __post_init__(self):
-        if self.q < 2:
+    def __new__(cls, name: str, f_poly: Poly, a_polys: tuple[Poly, ...], q: int,
+                n_range: tuple[int, int] = (0, 60)) -> FamilySpec:
+        if q < 2:
             raise ValueError("q must be >= 2")
-        if not self.a_polys:
+        if not a_polys:
             raise ValueError("need at least one CF term polynomial")
-        a = tuple(poly[: poly_degree(poly) + 1] for poly in self.a_polys)
-        object.__setattr__(self, "a_polys", primitive_period(a))
+        a = primitive_period(tuple(poly[: poly_degree(poly) + 1] for poly in a_polys))
+        return tuple.__new__(cls, (name, f_poly, a, q, n_range))
 
     @property
     def s(self) -> int:
@@ -163,14 +159,12 @@ def get_preset(name: str, q: int | None = None) -> FamilySpec:
     return spec.with_q(q) if q is not None else spec
 
 
-@dataclass
-class FieldInstance:
-    """One member of the family, with its cone context ready."""
+class FieldInstance(Record):
+    """One member of the family: `spec`, `n`, the plus CF `cf` of delta(n) - 1
+    and the cone context `ctx`, ready."""
 
-    spec: FamilySpec
-    n: int
-    cf: PeriodicCF
-    ctx: ConeContext
+    __slots__ = ()
+    _fields = ("spec", "n", "cf", "ctx")
 
     @property
     def r(self) -> int:
@@ -236,8 +230,9 @@ def instantiate(spec: FamilySpec, n: int) -> FieldInstance:
     """Build the field K_n = Q(sqrt(f(n))) with delta(n) = 1 + [[a_0(n),...]].
 
     Raises NonSquarefreeSkip if f(n) is not squarefree, HypothesisError
-    if the instance violates the reduction hypotheses (delta > 2 etc.), and
-    LimitError past a size limit (`checked_terms`, `ConeContext`).
+    if the instance violates the reduction hypotheses (delta > 2 etc.) or
+    delta(n) is not an algebraic integer, and LimitError past a size limit
+    (`checked_terms`, `ConeContext`).
     """
     fn, terms = checked_terms(spec, n)
     cf = PeriodicCF(terms)
@@ -247,6 +242,9 @@ def instantiate(spec: FamilySpec, n: int) -> FieldInstance:
             f"Q(delta({n})) has radicand {val.field.Delta}, expected f({n}) = {fn}"
         )
     delta = val + 1
+    tr, nm = trace(delta), norm(delta)
+    if tr.denominator != 1 or nm.denominator != 1:
+        raise HypothesisError(f"delta({n}) has trace {tr} and norm {nm}, not both integers")
     if not (delta > delta.field.elem(2)):
         raise HypothesisError(f"delta({n}) <= 2; family hypothesis violated")
     basis = ModuleBasis(delta)
@@ -441,18 +439,23 @@ def coeffs_closed(spec: FamilySpec, label: RayLabel, r: int) -> list[Fraction]:
 # quasi-polynomials
 
 
-@dataclass
 class QuasiPoly:
     """Exact quasi-polynomial: period q, degree d, coefficients per (residue, power).
 
-    In k-form the value at n = qk + r is sum_i coeffs[(r, i)] * k^i; in
-    n-form it is sum_i coeffs[(r, i)] * n^i.
+    In k-form (`form` "k") the value at n = qk + r is sum_i coeffs[(r, i)] * k^i;
+    in n-form ("n") it is sum_i coeffs[(r, i)] * n^i.
     """
 
-    q: int
-    degree: int
-    form: str  # "k" or "n"
-    coeffs: dict[tuple[int, int], Fraction]
+    __slots__ = ("q", "degree", "form", "coeffs")
+
+    def __init__(self, q: int, degree: int, form: str, coeffs: dict[tuple[int, int], Fraction]):
+        self.q, self.degree, self.form, self.coeffs = q, degree, form, coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, QuasiPoly):
+            return NotImplemented
+        return (self.q, self.degree, self.form, self.coeffs) == (
+            other.q, other.degree, other.form, other.coeffs)
 
     def residues(self) -> list[int]:
         return sorted({r for (r, _) in self.coeffs})
@@ -562,12 +565,11 @@ def quasi_poly(
     return poly
 
 
-@dataclass
-class FitResult:
-    coeffs: tuple[Fraction, ...]
-    consistent: bool
-    used_ks: tuple[int, ...]
-    skipped_ks: tuple[int, ...]
+class FitResult(Record):
+    """The oracle's k-form `coeffs`, `consistent`, `used_ks` and `skipped_ks`."""
+
+    __slots__ = ()
+    _fields = ("coeffs", "consistent", "used_ks", "skipped_ks")
 
 
 def lagrange_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:

@@ -9,11 +9,10 @@ display only.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exactmath import residue_zero
+from .exactmath import Record, residue_zero
 from .family import (
     FamilySpec,
     ResidueContext,
@@ -27,14 +26,12 @@ class CharacterError(ValueError):
     """Malformed character specification."""
 
 
-@dataclass(frozen=True)
-class DirichletChar:
+class DirichletChar(Record):
     """Character mod q of order m, stored as an exponent table on (Z/q)^*:
     chi(a) = zeta_m^{exps[a]}, chi(a) = 0 off the units."""
 
-    modulus: int
-    order: int
-    exps: tuple[tuple[int, int], ...]  # sorted (unit residue, exponent mod order)
+    __slots__ = ()
+    _fields = ("modulus", "order", "exps")  # exps: sorted (unit residue, exponent mod order)
 
     @classmethod
     def from_exponents(cls, q: int, order: int, table: dict[int, int]) -> "DirichletChar":
@@ -95,11 +92,19 @@ class DirichletChar:
         return dict(self.exps)[a]
 
 
-@dataclass(frozen=True)
 class CharSpanValue:
-    """Formal sum sum_a c_a * [chi(a)] with exact rational c_a, a a unit mod q."""
+    """Formal sum sum_a c_a * [chi(a)] with exact rational c_a, a a unit mod q;
+    never mutated.  A plain class, not a tuple, so `+` is never concatenation."""
 
-    terms: tuple[tuple[int, Fraction], ...]  # sorted, zero coefficients dropped
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, Fraction], ...]):
+        self.terms = terms  # sorted, zero coefficients dropped
+
+    def __eq__(self, other):
+        if not isinstance(other, CharSpanValue):
+            return NotImplemented
+        return self.terms == other.terms
 
     @classmethod
     def from_dict(cls, d: dict[int, Fraction]) -> "CharSpanValue":
@@ -170,13 +175,14 @@ def hecke_L0(ctx: ConeContext, chi: DirichletChar) -> CharSpanValue:
     return CharSpanValue.from_dict(total)
 
 
-@dataclass
 class LValueQuasiPoly:
     """Per residue r, coefficient vectors (powers of k) of formal char-span sums."""
 
-    spec: FamilySpec
-    chi: DirichletChar
-    coeffs: dict[int, list[CharSpanValue]]  # r -> [power 0 .. d]
+    __slots__ = ("spec", "chi", "coeffs")
+
+    def __init__(self, spec: FamilySpec, chi: DirichletChar,
+                 coeffs: dict[int, list[CharSpanValue]]):  # r -> [power 0 .. d]
+        self.spec, self.chi, self.coeffs = spec, chi, coeffs
 
     def evaluate(self, n: int) -> CharSpanValue:
         r = n % self.spec.q

@@ -13,11 +13,10 @@ the bound is certified only below bound^3; beyond that is a `LimitError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .exactmath import LimitError
+from .exactmath import LimitError, Record
 
 
 class FieldMismatchError(ValueError):
@@ -89,27 +88,34 @@ def is_squarefree(n: int, bound: int = 10**6) -> bool:
     raise LimitError(f"cannot certify squarefreeness beyond bound {bound}")
 
 
-@dataclass(frozen=True)
-class QuadField:
+class QuadField(Record):
     """The real quadratic field Q(sqrt(Delta)); Delta a positive nonsquare."""
 
-    Delta: int
+    __slots__ = ()
+    _fields = ("Delta",)
 
-    def __post_init__(self):
-        if self.Delta <= 0 or is_perfect_square(self.Delta):
+    def __new__(cls, Delta: int) -> QuadField:
+        if Delta <= 0 or is_perfect_square(Delta):
             raise ValueError("Delta must be a positive nonsquare integer")
+        return tuple.__new__(cls, (Delta,))
 
-    def elem(self, a, b=0) -> "QuadElem":
+    def elem(self, a, b=0) -> QuadElem:
         return QuadElem(Fraction(a), Fraction(b), self)
 
 
-@dataclass(frozen=True)
 class QuadElem:
-    """a + b*sqrt(Delta) with exact rational a, b."""
+    """a + b*sqrt(Delta) with exact rational a, b; never mutated.  A plain
+    class, not a tuple, so it has no tuple `<=`, `*`, `len` or iteration."""
 
-    a: Fraction
-    b: Fraction
-    field: QuadField
+    __slots__ = ("a", "b", "field")
+
+    def __init__(self, a: Fraction, b: Fraction, field: QuadField):
+        self.a, self.b, self.field = a, b, field
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadElem):
+            return NotImplemented
+        return (self.a, self.b, self.field) == (other.a, other.b, other.field)
 
     def _check(self, other: "QuadElem"):
         if self.field.Delta != other.field.Delta:
@@ -229,14 +235,13 @@ def is_totally_positive(x: QuadElem) -> bool:
     return x.sign() > 0 and conj(x).sign() > 0
 
 
-@dataclass(frozen=True)
 class ModuleBasis:
     """The Z-module [1, delta]; delta must be reduced: delta > 1, 0 < delta' < 1."""
 
-    delta: QuadElem
+    __slots__ = ("delta",)
 
-    def __post_init__(self):
-        d = self.delta
+    def __init__(self, delta: QuadElem):
+        self.delta = d = delta
         if not (d > d.field.elem(1)):
             raise ValueError("delta must exceed 1")
         dc = conj(d)

@@ -16,12 +16,11 @@ keeps each label's norm and orbit once computed (`norm_of`, `orbit_of`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
 from .contfrac import MinusCF, Run, minus_cf
-from .exactmath import LimitError, frac_unit, residue_one, residue_zero, term12
+from .exactmath import LimitError, Record, frac_unit, residue_one, residue_zero, term12
 from .quadfield import (
     ModuleBasis,
     QuadElem,
@@ -44,38 +43,35 @@ class InternalCheckError(RuntimeError):
     """Two independent computations of the same quantity disagreed."""
 
 
-@dataclass(frozen=True)
-class RayLabel:
+class RayLabel(Record):
     """(C, D) with 0 <= C, D <= q-1, labelling the ray class of (C+D*delta)*b."""
 
-    C: int
-    D: int
-    q: int
+    __slots__ = ()
+    _fields = ("C", "D", "q")
 
-    def __post_init__(self):
-        if self.q < 2:
+    def __new__(cls, C: int, D: int, q: int) -> RayLabel:
+        if q < 2:
             raise LabelError("q must be >= 2")
-        if not (0 <= self.C < self.q and 0 <= self.D < self.q):
+        if not (0 <= C < q and 0 <= D < q):
             raise LabelError("label coordinates must lie in [0, q-1]")
-        if self.C == 0 and self.D == 0:
+        if C == 0 and D == 0:
             raise LabelError("(0,0) is excluded")
+        return tuple.__new__(cls, (C, D, q))
 
 
-@dataclass
 class ConeContext:
-    """Everything needed to evaluate partial zeta values on one field.
+    """Everything needed to evaluate partial zeta values on one field:
+    built by `__post_init__`, it holds the minus CF `mcf`, its series
+    `steps`, the unit `eps` and its index `lam`.
 
     The integral ideal b with b^{-1} = [1, delta] is taken to be O_K.
     """
 
-    basis: ModuleBasis
-    q: int
-    mcf: MinusCF = dc_field(init=False)
-    steps: tuple[Step, ...] = dc_field(init=False)
-    eps: QuadElem = dc_field(init=False)
-    lam: int = dc_field(init=False)
-    _norms: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-    _orbits: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("basis", "q", "mcf", "steps", "eps", "lam", "_norms", "_orbits")
+
+    def __init__(self, basis: ModuleBasis, q: int):
+        self.basis, self.q, self._norms, self._orbits = basis, q, {}, {}
+        self.__post_init__()
 
     def __post_init__(self):
         raw = os.environ.get("RAYZETA_MAX_TERMS", str(MAX_TERMS_DEFAULT))
@@ -178,12 +174,12 @@ def boundary_points(basis: ModuleBasis, mcf: MinusCF, count: int) -> list[QuadEl
     return pts
 
 
-@dataclass(frozen=True)
-class XYSeq:
-    """Fractional coordinates x_i in (0,1], y_i in [0,1) for i = 0..count."""
+class XYSeq(Record):
+    """Fractional coordinates xs = (x_i) in (0,1], ys = (y_i) in [0,1) for
+    i = 0..count."""
 
-    xs: tuple[Fraction, ...]
-    ys: tuple[Fraction, ...]
+    __slots__ = ()
+    _fields = ("xs", "ys")
 
 
 def yamamoto_xy(label: RayLabel, mcf: MinusCF, count: int) -> XYSeq:

@@ -401,12 +401,45 @@ def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
     assert run_err(capsys, argv) == EXIT_CONFIG
 
 
-def test_cli_import_leaves_verify_unloaded():
+IMPORT_PROBE = """
+import os, sys
+src = sys.argv[1]
+sys.path.insert(0, src)
+package = os.path.join(src, "rayzeta")
+generated = set()
+
+def hook(event, args):
+    # source compiled from a string is generated code; the innermost module
+    # body on the stack is the module that generated it
+    if event == "compile" and args[1] == "<string>":
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "<module>":
+            frame = frame.f_back
+        if frame is not None and frame.f_code.co_filename.startswith(package):
+            generated.add(frame.f_code.co_filename)
+
+sys.addaudithook(hook)
+import rayzeta, rayzeta.cli
+print(sorted({"dataclasses", "inspect", "rayzeta.verify"} & sys.modules.keys()))
+print(sorted(generated))
+"""
+
+
+def test_import_generates_no_code_and_leaves_verify_unloaded():
+    # a fresh isolated interpreter (no site packages, no PYTHONPATH) that
+    # writes no bytecode into the source tree
     src = str(Path(rayzeta.__file__).resolve().parents[1])
-    probe = "import sys, rayzeta.cli; print('rayzeta.verify' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", IMPORT_PROBE, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n[]\n"
+
+
+def test_zeta_on_a_non_integral_delta_is_hypothesis_error(capsys):
+    # delta(n) - 1 = [[n, 2n]] has norm n + 1/2: refused before any context
+    argv = ["zeta", "--f-poly", "2,0,1", "--a-polys", "0,1;0,2", "--q", "2", "--n", "3"]
+    assert main(argv) == EXIT_HYPOTHESIS
+    assert capsys.readouterr().err == (
+        "hypothesis violation: delta(3) has trace 5 and norm 7/2, not both integers\n")
 
 
 @pytest.mark.parametrize("n", [
@@ -578,14 +611,17 @@ def test_no_field_outlives_its_command(capsys, monkeypatch):
     ("family", "k_range", "k-range must be lo:hi — got ''"),
     ("lfunc", "char", "character must be modulus:order:g=e[,g=e...] — got ''"),
     ("verify", "criterion", f"unknown criteria ['']; available: {sorted(verify.CRITERIA)}"),
-], ids=["family-label", "family-k-range", "lfunc-char", "verify-criterion"])
+    ("family", "out", "cannot write : [Errno 2] No such file or directory: ''"),
+    ("family", "config", "cannot read config : [Errno 2] No such file or directory: ''"),
+], ids=["family-label", "family-k-range", "lfunc-char", "verify-criterion", "family-out",
+        "family-config"])
 def test_empty_flag_value_is_config_error(tmp_path, capsys, command, key, message):
     # an empty value is parsed, not taken for an absent flag, on the command
-    # line and in a config document alike
+    # line and in a config document alike (a document cannot name another)
     family_args = [] if command == "verify" else ["--preset", "rd-n2p2", "--q", "3"]
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({key: ""}))
     for argv in ([command, *family_args, f"--{key.replace('_', '-')}="],
-                 [command, *family_args, "--config", str(cfg)]):
+                 [command, *family_args, "--config", str(cfg)])[: 1 if key == "config" else 2]:
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,10 +1,12 @@
-"""Tests for the exact scalar helpers."""
+"""Tests for the exact scalar helpers and the value-record base."""
 
 from fractions import Fraction
 
 import pytest
 
+from rayzeta.contfrac import MinusCF
 from rayzeta.exactmath import (
+    Record,
     bernoulli1,
     bernoulli2,
     frac_unit,
@@ -12,6 +14,10 @@ from rayzeta.exactmath import (
     residue_zero,
     term12,
 )
+from rayzeta.family import get_preset
+from rayzeta.hecke import CharSpanValue
+from rayzeta.quadfield import QuadField
+from rayzeta.shintani import LabelError, RayLabel
 
 
 def test_bernoulli1_values():
@@ -79,3 +85,30 @@ def test_kernel_matches_bernoulli_expansion():
 def test_residue_conventions_agree_on_units(q):
     for a in range(1, q):
         assert residue_zero(a, q) == residue_one(a, q) == a
+
+
+def test_records_are_immutable_values():
+    label = RayLabel(1, 2, 5)
+    assert (label.C, label.D, label.q) == (1, 2, 5)
+    assert repr(label) == "RayLabel(C=1, D=2, q=5)"
+    assert len({label, RayLabel(1, 2, 5)}) == 1  # equal and hashed by value
+    assert len({(get_preset("rd-n2p2", 3), 4), (get_preset("rd-n2p2", 3), 4)}) == 1
+    assert MinusCF(((4, 1), (2, 3))).m == 4
+    with pytest.raises(AttributeError):
+        label.C = 0
+    with pytest.raises(LabelError, match="excluded"):
+        RayLabel(0, 0, 5)
+    with pytest.raises(TypeError, match="takes 2 fields, got 1"):
+        type("Pair", (Record,), {"__slots__": (), "_fields": ("x", "y")})(1)
+
+
+def test_arithmetic_types_are_not_tuples():
+    # a tuple base would give them tuple's <=, *, len and iteration
+    x = QuadField(3).elem(1, 1)
+    span = CharSpanValue.from_dict({1: Fraction(1)})
+    for value in (x, span):
+        assert not isinstance(value, tuple)
+        with pytest.raises(TypeError):
+            value <= value
+        with pytest.raises(TypeError):
+            len(value)
