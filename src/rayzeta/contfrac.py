@@ -183,21 +183,27 @@ def minus_cf(x: QuadElem, max_period: int = MAX_PERIOD) -> MinusCF:
             return MinusCF(tuple(runs))
 
 
+def fixed_point(terms: tuple[int, ...]) -> tuple[int, int, int]:
+    """(A, B, C) with A x^2 + B x + C = 0, A > 0, for x = [[terms]]: the
+    fixed-point equation x = (p x + p')/(q x + q') of the last convergents.
+    delta = x + 1 has trace (2A - B)/A and norm (A - B + C)/A."""
+    p_prev, p_cur = 1, terms[0]  # p_{-1}, p_0
+    q_prev, q_cur = 0, 1
+    for a in terms[1:]:
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    return q_cur, q_prev - p_cur, -p_prev
+
+
 def cf_value(cf: PeriodicCF, radicand: int | None = None) -> QuadElem:
     """The value of the purely periodic plus CF, as the root > 1 of its
-    one-period fixed-point equation, in the field with squarefree radicand.
+    `fixed_point` equation, in the field with squarefree radicand.
 
     A caller that has already certified a squarefree `radicand` passes it:
     when the discriminant is radicand * c^2 no trial division is run.
     Otherwise the radicand is the discriminant's squarefree part.
     """
-    p_prev, p_cur = 1, cf.terms[0]  # p_{-1}, p_0
-    q_prev, q_cur = 0, 1
-    for a in cf.terms[1:]:
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    # x = (p_cur x + p_prev) / (q_cur x + q_prev)
-    A, B, C = q_cur, q_prev - p_cur, -p_prev
+    A, B, C = fixed_point(cf.terms)
     disc = B * B - 4 * A * C
     c = isqrt(disc // radicand) if radicand else 0
     if not radicand or radicand * c * c != disc:

@@ -14,13 +14,16 @@ integer numerator over 12q^2, built with the per-term kernel `term12` at the
 special terms and the run kernel `shintani.progression_sum` along the runs of
 2s between them, the same two kernels `partial_zeta0` walks.
 
-The label side is residue-level too: `ResidueContext` holds the unit's
-matrix mod q, lambda, F_delta, the orbits and the label norms mod q.  The
-paper's norm invariance is decided exactly by `delta_trace_norm`: the trace
-and norm of delta(n) either lie in Z[n], or the family is refused with a
-HypothesisError.  Fields are built only for the direct zeta values that
-check the closed forms, and `instantiate` checks f(n) against the radicand
-of each.  A command keeps one residue context per residue, and its
+The label side is residue-level too: `ResidueContext` holds that residue
+data once for every orbit member, and the unit's matrix mod q, lambda,
+F_delta, the orbits and the label norms mod q, on the integer route a
+`ConeContext` takes over Z.  The paper's norm invariance is decided exactly
+by `delta_trace_norm`: the trace and norm of delta(n) either lie in Z[n],
+or the family is refused with a HypothesisError.  Fields are built only
+for the direct zeta values that check the closed forms.  `checked_terms`
+tests f(n) against the radicand of delta(n) on integers, for `instantiate`
+and for the residue context's first n alike, so a wrong f is refused once
+per residue.  A command keeps one residue context per residue, and its
 `FieldTable`, so each field is built at most once per command.
 """
 
@@ -34,16 +37,25 @@ from .contfrac import (
     MAX_PERIOD,
     PeriodicCF,
     cf_value,
+    fixed_point,
     minus_period,
     plus_to_minus,
     primitive_period,
     s_indices,
 )
 from .exactmath import LimitError, Record, residue_one, term12
-from .quadfield import ModuleBasis, boundary_coords, is_squarefree, matrix_order, norm, trace
+from .quadfield import (
+    ModuleBasis,
+    is_perfect_square,
+    is_squarefree,
+    squarefree_part,
+    unit_index_lambda,
+    unit_matrix,
+)
 from .shintani import (
     ConeContext,
     RayLabel,
+    norm_form,
     orbit,
     partial_zeta0,
     progression_sum,
@@ -209,9 +221,10 @@ def decided_trace_norm(spec: FamilySpec) -> tuple[Poly, Poly]:
 
 
 def checked_terms(spec: FamilySpec, n: int) -> tuple[int, tuple[int, ...]]:
-    """f(n) and the terms a_i(n), after the checks of `instantiate` that
-    need no field.  The period limit comes before the costlier squarefree
-    certification."""
+    """f(n) and the terms a_i(n), after every check of `instantiate`, on
+    integers; the period limit comes before the costlier squarefree test.
+    With (A, B, C) = `fixed_point(terms)`, f(n) is the radicand iff
+    B^2 - 4AC = f(n)*c^2, and delta(n) is integral iff A | B and A | C."""
     fn = poly_eval(spec.f_poly, n)
     if fn <= 1:
         raise HypothesisError(f"f({n}) = {fn} is not a valid radicand")
@@ -223,6 +236,14 @@ def checked_terms(spec: FamilySpec, n: int) -> tuple[int, tuple[int, ...]]:
         raise NonSquarefreeSkip(n, fn)
     if not positive:
         raise HypothesisError(f"a_i({n}) = {terms} has a term < 1")
+    A, B, C = fixed_point(terms)
+    disc = B * B - 4 * A * C
+    if disc % fn or not is_perfect_square(disc // fn):
+        raise HypothesisError(f"Q(delta({n})) has radicand {squarefree_part(disc)}, "
+                              f"expected f({n}) = {fn}")
+    if B % A or C % A:
+        raise HypothesisError(f"delta({n}) has trace {Fraction(2 * A - B, A)} and norm "
+                              f"{Fraction(A - B + C, A)}, not both integers")
     return fn, terms
 
 
@@ -230,26 +251,14 @@ def instantiate(spec: FamilySpec, n: int) -> FieldInstance:
     """Build the field K_n = Q(sqrt(f(n))) with delta(n) = 1 + [[a_0(n),...]].
 
     Raises NonSquarefreeSkip if f(n) is not squarefree, HypothesisError
-    if the instance violates the reduction hypotheses (delta > 2 etc.) or
-    delta(n) is not an algebraic integer, and LimitError past a size limit
-    (`checked_terms`, `ConeContext`).
+    if the instance violates the family hypotheses (a term < 1, a radicand
+    other than f(n), delta(n) not an algebraic integer), and LimitError past
+    a size limit (`checked_terms`, `ConeContext`).
     """
     fn, terms = checked_terms(spec, n)
     cf = PeriodicCF(terms)
-    val = cf_value(cf, fn)  # f(n) is certified squarefree above
-    if val.field.Delta != fn:
-        raise HypothesisError(
-            f"Q(delta({n})) has radicand {val.field.Delta}, expected f({n}) = {fn}"
-        )
-    delta = val + 1
-    tr, nm = trace(delta), norm(delta)
-    if tr.denominator != 1 or nm.denominator != 1:
-        raise HypothesisError(f"delta({n}) has trace {tr} and norm {nm}, not both integers")
-    if not (delta > delta.field.elem(2)):
-        raise HypothesisError(f"delta({n}) <= 2; family hypothesis violated")
-    basis = ModuleBasis(delta)
-    ctx = ConeContext(basis, spec.q)
-    return FieldInstance(spec, n, cf, ctx)
+    delta = cf_value(cf, fn) + 1  # f(n) is certified as the radicand above
+    return FieldInstance(spec, n, cf, ConeContext(ModuleBasis(delta), spec.q))
 
 
 def usable(spec: FamilySpec, n: int) -> bool:
@@ -299,7 +308,8 @@ class FieldTable:
 
 def first_usable(spec: FamilySpec, r: int, count: int, limit: int) -> list[int]:
     """The first `count` n = qk + r, k < limit, in the family's range with
-    f(n) squarefree; `checked_terms` raises on each as `instantiate` would."""
+    f(n) squarefree; `checked_terms` raises on each as `instantiate` would,
+    the radicand check included."""
     out = []
     for n in residue_ns(spec, r, limit):
         if len(out) == count:
@@ -330,54 +340,50 @@ def sample_ks(spec: FamilySpec, r: int, k_values) -> tuple[list[int], list[int]]
 def gamma_tau(spec: FamilySpec, r: int) -> tuple[list[int], list[int]]:
     """gamma_i(r) in [1, q] and tau_i(r) with a_i(r) = q*tau_i + gamma_i,
     for i = 0 .. s-1."""
-    q = spec.q
-    gammas, taus = [], []
-    for a in spec.a_polys:
-        ai = poly_eval(a, r)
-        g = residue_one(ai, q)
-        gammas.append(g)
-        taus.append((ai - g) // q)
-    return gammas, taus
+    values = [poly_eval(a, r) for a in spec.a_polys]
+    gammas = [residue_one(ai, spec.q) for ai in values]
+    return gammas, [(ai - g) // spec.q for ai, g in zip(values, gammas)]
 
 
 class ResidueContext:
     """The label side of every field K_n of the family with n = r mod q: the
-    unit's matrix on [1, delta] mod q (column action), lambda and the label
-    norms mod q, and so F_delta and the orbits through `shintani.f_delta`
-    and `shintani.orbit`, which it serves as a `ConeContext` would.
+    unit's matrix on [1, delta] mod q, lambda and the label norms mod q, and
+    so F_delta and the orbits through `shintani.f_delta` and `orbit`, which
+    it serves as a `ConeContext` would; and the residue data `coeffs_closed`
+    reads: `gammas`, `taus`, segment starts `Gammas`, the residue minus CF.
 
-    The matrix comes from the unit recurrence (`quadfield.boundary_coords`)
-    over the residue minus CF that `coeffs_closed` sums: a run of k 2s
-    enters it linearly in k, so mod q only k mod q matters.  The norms come
-    from `delta_trace_norm` at r.  No field is built: the `fields` table
-    starts empty.  Raises HypothesisError when the trace and norm of delta(n)
-    are not in Z[n], and, as `first_instances(spec, r, 1)` does, when the
-    residue holds no field.
+    The matrix is `unit_matrix` of the residue minus CF mod q (mod q a run
+    of k 2s needs only k mod q).  Lambda and the norms take `ConeContext`'s
+    integer route, with tr and N of delta from `delta_trace_norm` at r.  No
+    field is built.  Raises HypothesisError when tr and N of delta(n) are
+    not in Z[n], and, as `first_instances(spec, r, 1)` does, when the
+    residue holds no field or its first is refused.
     """
 
     def __init__(self, spec: FamilySpec, r: int):
         q = self.q = spec.q
+        self.spec, self.r = spec, r
         polys = decided_trace_norm(spec)
         if not first_usable(spec, r, 1, 128):  # first_instances' limit
             raise HypothesisError(f"could not find 1 squarefree instances for residue {r}")
         self.trace_norm = tuple(poly_eval(p, r) % q for p in polys)  # of delta mod q
-        rcf = PeriodicCF(tuple(gamma_tau(spec, r)[0]))
-        u1, v1, u, v = boundary_coords(plus_to_minus(rcf).runs)
-        # columns (u, v), (u1, v1) are eps^-1 and eps^-1*delta; eps is the adjugate
-        self.matrix = ((v1 % q, -u1 % q), (-v % q, u % q))
-        self.lam = matrix_order(self.matrix, q)
+        self.gammas, self.taus = gamma_tau(spec, r)
+        rcf = PeriodicCF(tuple(self.gammas))
+        self.Gammas = s_indices(rcf)
+        self.mcf = plus_to_minus(rcf)
+        self.matrix = tuple(tuple(e % q for e in row) for row in unit_matrix(self.mcf.runs))
+        self.lam = unit_index_lambda(self.matrix, q)
         self.fields = FieldTable(spec, r)
 
     def norm_of(self, label: RayLabel) -> int:
         """The norm of (C + D*delta(n))*b mod q, the same for every n = r mod q."""
-        t, nd = self.trace_norm
-        C, D = label.C, label.D
-        return (C * C + C * D * t + D * D * nd) % self.q
+        C, D, _ = label
+        return norm_form(C, D, *self.trace_norm) % self.q
 
     def act(self, label: RayLabel) -> RayLabel:
         """The label's image under the unit, as `shintani.eps_act` gives it."""
         (a, b), (c, d) = self.matrix
-        C, D, q = label.C, label.D, self.q
+        C, D, q = label
         return RayLabel((a * C + b * D) % q, (c * C + d * D) % q, q)
 
 
@@ -389,24 +395,22 @@ def A_im(spec: FamilySpec, i: int, m: int, r: int) -> int:
     return sum(a[j] * comb(j, m) * spec.q ** (m - 1) * r ** (j - m) for j in range(m, len(a)))
 
 
-def coeffs_closed(spec: FamilySpec, label: RayLabel, r: int) -> list[Fraction]:
+def coeffs_closed(rctx: ResidueContext, label: RayLabel) -> list[Fraction]:
     """Contribution [B^0, ..., B^d] of one orbit member (A, B) to the k-form
-    coefficients, from the residue-level data alone (no n enters).
+    coefficients at the residue of `rctx`, from its residue data alone.
 
-    The residue data is the minus CF of delta(n) taken mod q: the index rule
-    `plus_to_minus` applied to [[gamma_0, ..., gamma_{s-1}]], with segment
-    starts Gamma_l = `s_indices`, and the Yamamoto numerators X_i over it.
-    Segment l is the progression X_{Gamma_l} + i*dX_l; the k^m terms come
-    from the blocks of q steps and from the special terms at the Gamma_l.
-    Every coefficient is an integer numerator over 12q^2.
+    That data is the minus CF of delta(n) mod q, `plus_to_minus` of
+    [[gamma_0, ..., gamma_{s-1}]], with segment starts Gamma_l = `s_indices`;
+    the Yamamoto numerators X_i run over it.  Segment l is the progression
+    X_{Gamma_l} + i*dX_l; the k^m terms come from the blocks of q steps and
+    from the special terms at the Gamma_l.  Every coefficient is an integer
+    numerator over 12q^2.
     """
-    q, s = spec.q, spec.s
-    gammas, taus = gamma_tau(spec, r)
-    rcf = PeriodicCF(tuple(gammas))
-    Gammas = s_indices(rcf)  # Gamma_0 .. Gamma_J
+    spec, r, q = rctx.spec, rctx.r, rctx.q
+    s, gammas, taus, Gammas = spec.s, rctx.gammas, rctx.taus, rctx.Gammas  # Gamma_0 .. Gamma_J
     J = len(Gammas) - 1
     # X[i + 1] = X_i for i = -1 .. Gamma_J
-    X = yamamoto_numerators(label, plus_to_minus(rcf), Gammas[-1])
+    X = yamamoto_numerators(label, rctx.mcf, Gammas[-1])
     starts = [X[G + 1] for G in Gammas]
     steps = [residue_one(X[G + 2] - X[G + 1], q) for G in Gammas[:-1]]
     blocks = [progression_sum(q, steps[l], starts[l], q) for l in range(J)]
@@ -518,11 +522,9 @@ def denom_bounds_ok(qp: QuasiPoly, r: int) -> bool:
 
 def norm_invariance_check(spec: FamilySpec, label: RayLabel, r: int) -> bool:
     """True iff the label's ideal norm mod q is the same for every usable
-    n = qk + r; no field is built.  Wherever `delta_trace_norm` decides the
-    family the norm is an integer polynomial in n, so the answer is True.
-    HypothesisError where it does not, and unless at least two of the first
-    four usable n with k < 64 exist.
-    """
+    n = qk + r, which holds wherever `delta_trace_norm` decides the family;
+    HypothesisError elsewhere, and unless two of the first four usable n with
+    k < 64 exist.  No field is built."""
     decided_trace_norm(spec)
     if len(first_usable(spec, r, 4, 64)) < 2:
         raise HypothesisError(f"fewer than two usable samples for r={r}")
@@ -545,15 +547,9 @@ def quasi_poly(
     norm_invariance_check(spec, label, r)
     rctx = rctx or ResidueContext(spec, r)
     witnesses = rctx.fields.first(2)
-    members = orbit(label, rctx)
-    coeffs = [Fraction(0)] * (spec.d + 1)
-    for member in members:
-        part = coeffs_closed(spec, member, r)
-        for i in range(spec.d + 1):
-            coeffs[i] += part[i]
-    poly = QuasiPoly(
-        spec.q, spec.d, "k", {(r, i): coeffs[i] for i in range(spec.d + 1)}
-    )
+    parts = [coeffs_closed(rctx, member) for member in orbit(label, rctx)]
+    coeffs = [sum(column, Fraction(0)) for column in zip(*parts)]
+    poly = QuasiPoly(spec.q, spec.d, "k", {(r, i): c for i, c in enumerate(coeffs)})
     for inst in witnesses:
         direct = partial_zeta0(inst.ctx, label)
         got = poly.evaluate(inst.n)

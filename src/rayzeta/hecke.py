@@ -153,11 +153,9 @@ def orbit_representatives(ctx) -> list[RayLabel]:
     on a `ConeContext` or a `family.ResidueContext`."""
     reps, seen = [], set()
     for label in f_delta(ctx):
-        if (label.C, label.D) in seen:
-            continue
-        members = orbit(label, ctx)
-        seen.update((mem.C, mem.D) for mem in members)
-        reps.append(label)
+        if label not in seen:
+            seen.update(orbit(label, ctx))
+            reps.append(label)
     return reps
 
 

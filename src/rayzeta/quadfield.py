@@ -266,15 +266,16 @@ def eval_coords(u, v, basis: ModuleBasis) -> QuadElem:
     return basis.field.elem(Fraction(u)) + Fraction(v) * basis.delta
 
 
-def boundary_coords(runs) -> tuple[int, int, int, int]:
-    """Coordinates (u', v', u, v) in [1, delta] of P_{m-1} and P_m, from
-    P_{i+1} = b_i P_i - P_{i-1}, P_{-1} = delta, P_0 = 1, over one minus-CF
-    period given as runs (b, k).  P_m = eps^{-1} and P_{m-1} = eps^{-1}*delta
-    are the columns of eps^{-1}'s matrix on [1, delta], of determinant 1.
+Matrix = tuple[tuple[int, int], tuple[int, int]]
 
-    A run of k 2s is one arithmetic step, P_{i+k} = P_i + k(P_i - P_{i-1}):
-    O(runs) plus one step per term > 2, and mod q only k mod q matters.
-    """
+
+def unit_matrix(runs) -> Matrix:
+    """The integer matrix ((a, b), (c, d)) of the unit eps on [1, delta],
+    column action: eps = a + c*delta, eps*delta = b + d*delta.  It is the
+    adjugate of eps^{-1}'s, whose columns P_m, P_{m-1} end the boundary
+    points P_{i+1} = b_i P_i - P_{i-1}, P_{-1} = delta, P_0 = 1, over one
+    minus-CF period of runs (b, k).  A run of k 2s is one arithmetic step,
+    P_{i+k} = P_i + k(P_i - P_{i-1}), so mod q only k mod q matters."""
     (u_prev, v_prev), (u, v) = (0, 1), (1, 0)
     for b, k in runs:
         if b == 2:
@@ -284,52 +285,36 @@ def boundary_coords(runs) -> tuple[int, int, int, int]:
             continue
         for _ in range(k):
             u_prev, v_prev, u, v = u, v, b * u - u_prev, b * v - v_prev
-    return u_prev, v_prev, u, v
+    return (v_prev, -u_prev), (-v, u)
 
 
-def fundamental_unit_totally_positive(basis: ModuleBasis, mcf) -> QuadElem:
-    """Totally positive fundamental unit eps > 1 of the ring acting on [1, delta].
-
-    Obtained from one period `mcf` of the minus continued fraction of delta
-    as the inverse of P_m (`boundary_coords`).
-    """
-    _, _, u, v = boundary_coords(mcf.runs)
-    one = basis.field.elem(1)
-    eps = eval_coords(u, v, basis).inverse()
-    if norm(eps) != 1 or not is_totally_positive(eps) or not (eps > one):
+def fundamental_unit_totally_positive(basis: ModuleBasis, matrix: Matrix) -> QuadElem:
+    """Totally positive fundamental unit eps = a + c*delta > 1 of the ring
+    acting on [1, delta], from its `unit_matrix` ((a, b), (c, d)).  Checked
+    on integers: N eps = ad - bc = 1; then eps and eps' are positive and
+    differ iff tr eps = a + d > 2, and eps > eps' iff c > 0."""
+    (a, b), (c, d) = matrix
+    if a * d - b * c != 1 or a + d <= 2 or c <= 0:
         raise UnitSearchError("unit recurrence returned a non-unit; field data malformed")
-    return eps
+    return eval_coords(a, c, basis)
 
 
 def mult_matrix(x: QuadElem, basis: ModuleBasis):
-    """2x2 matrix of multiplication by x on the basis [1, delta] (column action)."""
-    c1 = coords_in_basis(x, basis)
-    c2 = coords_in_basis(x * basis.delta, basis)
-    return ((c1[0], c2[0]), (c1[1], c2[1]))
+    """2x2 matrix of multiplication by x on the basis [1, delta] (column
+    action), on Fractions: the oracle for `unit_matrix`."""
+    (a, c), (b, d) = coords_in_basis(x, basis), coords_in_basis(x * basis.delta, basis)
+    return (a, b), (c, d)
 
 
-def unit_index_lambda(eps: QuadElem, q: int, basis: ModuleBasis) -> int:
-    """Least lambda >= 1 with eps^lambda = 1 modulo q*[1, delta].
+def unit_index_lambda(matrix: Matrix, q: int) -> int:
+    """Least lambda >= 1 with eps^lambda = 1 modulo q*[1, delta], for the
+    integer matrix ((m00, m01), (m10, m11)) of a unit eps on [1, delta].
 
     Equals [E+ : E_q+] and the orbit size of every label in F_delta.  For a
     unit the coordinates of eps^j mod q are never both zero, so they take at
     most q^2 - 1 values and lambda is found within q^2 powers.
     """
-    if q < 1:
-        raise ValueError("q must be positive")
-    m = mult_matrix(eps, basis)
-    for row in m:
-        for entry in row:
-            if Fraction(entry).denominator != 1:
-                raise ValueError("eps does not stabilize the module [1, delta]")
-    return matrix_order(tuple(tuple(int(e) for e in row) for row in m), q)
-
-
-def matrix_order(m, q: int) -> int:
-    """Least j >= 1 with m^j (1, 0) = (1, 0) mod q, for the integer matrix
-    m = ((m00, m01), (m10, m11)) of a unit on [1, delta]: the unit's index
-    lambda, found within q^2 powers."""
-    (m00, m01), (m10, m11) = ((e % q for e in row) for row in m)
+    (m00, m01), (m10, m11) = ((e % q for e in row) for row in matrix)
     u, v = 1, 0  # coordinates of eps^j, starting at j=0
     for j in range(1, q * q + 1):
         u, v = (m00 * u + m01 * v) % q, (m10 * u + m11 * v) % q

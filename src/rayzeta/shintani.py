@@ -4,13 +4,15 @@ fractional-coordinate recursion, and exact partial zeta values at s = 0.
 
 Everything a context needs is built run by run.  A minus CF is a few
 terms > 2 separated by runs of 2s, and `contfrac.minus_cf` returns it as
-runs (b, k).  From the runs a context takes the unit (a run of 2s is one
-arithmetic step of the boundary-point recurrence), its series steps
-(`series_steps`) and the lambda*m cap, so it costs O(runs), not O(m), and
-never builds the m-term tuple.  Inside a run of 2s the Yamamoto numerators
-form an arithmetic progression mod q, so `progression_sum` adds a run of
-any length in O(q); `term12` remains the per-term kernel.  A context also
-keeps each label's norm and orbit once computed (`norm_of`, `orbit_of`).
+runs (b, k).  From the runs a context takes the unit's integer matrix
+(`quadfield.unit_matrix`: a run of 2s is one arithmetic step), its series
+steps (`series_steps`) and the lambda*m cap: O(runs), not O(m).  Lambda and
+every label norm (`norm_form`) are read off the matrix on integers, as
+`family.ResidueContext` reads them mod q; only the unit action `eps_act`
+runs on `Fraction`s.  Inside a run of 2s the Yamamoto numerators form an
+arithmetic progression mod q, so `progression_sum` adds a run of any length
+in O(q); `term12` remains the per-term kernel.  A context also keeps each
+label's norm and orbit once computed (`norm_of`, `orbit_of`).
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .quadfield import (
     QuadElem,
     coords_in_basis,
     fundamental_unit_totally_positive,
-    norm,
     unit_index_lambda,
+    unit_matrix,
 )
 
 MAX_TERMS_DEFAULT = 10**6
@@ -59,15 +61,21 @@ class RayLabel(Record):
         return tuple.__new__(cls, (C, D, q))
 
 
+def norm_form(C: int, D: int, tr: int, nm: int) -> int:
+    """N(C + D*delta) = C^2 + C*D*tr + D^2*nm, for delta of trace tr and
+    norm nm: over Z on a `ConeContext`, mod q on a `family.ResidueContext`."""
+    return C * C + C * D * tr + D * D * nm
+
+
 class ConeContext:
     """Everything needed to evaluate partial zeta values on one field:
     built by `__post_init__`, it holds the minus CF `mcf`, its series
-    `steps`, the unit `eps` and its index `lam`.
+    `steps`, the unit `eps`, its index `lam` and delta's `trace_norm`.
 
     The integral ideal b with b^{-1} = [1, delta] is taken to be O_K.
     """
 
-    __slots__ = ("basis", "q", "mcf", "steps", "eps", "lam", "_norms", "_orbits")
+    __slots__ = ("basis", "q", "mcf", "steps", "eps", "lam", "trace_norm", "_norms", "_orbits")
 
     def __init__(self, basis: ModuleBasis, q: int):
         self.basis, self.q, self._norms, self._orbits = basis, q, {}, {}
@@ -82,8 +90,15 @@ class ConeContext:
         if self.q < 2:
             raise LabelError("q must be >= 2")
         self.mcf = minus_cf(self.basis.delta)
-        self.eps = fundamental_unit_totally_positive(self.basis, self.mcf)
-        self.lam = unit_index_lambda(self.eps, self.q, self.basis)
+        matrix = unit_matrix(self.mcf.runs)
+        self.eps = fundamental_unit_totally_positive(self.basis, matrix)
+        self.lam = unit_index_lambda(matrix, self.q)
+        # eps*delta = b + d*delta with eps = a + c*delta and delta^2 = tr*delta - nm
+        (a, b), (c, d) = matrix
+        (tr, bad_tr), (nm, bad_nm) = divmod(d - a, c), divmod(-b, c)
+        if bad_tr or bad_nm:
+            raise LabelError("(C+D*delta)*b is not integral; basis data malformed")
+        self.trace_norm = tr, nm
         if self.lam * self.mcf.m > max_terms:
             raise LimitError(
                 f"lambda*m = {self.lam * self.mcf.m} exceeds cap {max_terms}"
@@ -92,10 +107,8 @@ class ConeContext:
 
     def label_norm(self, label: RayLabel) -> int:
         """Norm of the integral ideal (C + D*delta)*b, a positive integer."""
-        n = norm(label.C + label.D * self.basis.delta)
-        if n.denominator != 1:
-            raise LabelError("(C+D*delta)*b is not integral; basis data malformed")
-        return abs(int(n))
+        C, D, _ = label
+        return abs(norm_form(C, D, *self.trace_norm))
 
     def norm_of(self, label: RayLabel) -> int:
         """`label_norm`, computed once per label on this context."""
@@ -135,11 +148,11 @@ def f_delta(ctx) -> list[RayLabel]:
 def eps_act(eps: QuadElem, label: RayLabel, basis: ModuleBasis) -> RayLabel:
     """Image of the label under multiplication by the unit: coordinates of
     (C + D*delta)*eps in [1, delta], reduced into [0, q-1]."""
-    x = (label.C + label.D * basis.delta) * eps
-    u, v = coords_in_basis(x, basis)
+    C, D, q = label
+    u, v = coords_in_basis((C + D * basis.delta) * eps, basis)
     if u.denominator != 1 or v.denominator != 1:
         raise LabelError("unit does not stabilize [1, delta]")
-    return RayLabel(residue_zero(int(u), label.q), residue_zero(int(v), label.q), label.q)
+    return RayLabel(residue_zero(int(u), q), residue_zero(int(v), q), q)
 
 
 def orbit(label: RayLabel, ctx) -> list[RayLabel]:
@@ -224,8 +237,9 @@ def xy_direct(
 def yamamoto_numerators(label: RayLabel, mcf: MinusCF, count: int) -> list[int]:
     """[X_{-1}, X_0, ..., X_count], the numerators X_i = q*x_i of `yamamoto_xy`:
     X_{-1} = q - C, X_0 = <D>_q, X_{i+1} = <b_i X_i - X_{i-1}>_q in [1, q]."""
-    q, terms, m = label.q, mcf.terms, mcf.m
-    xs = [q - label.C, residue_one(label.D, q)]
+    C, D, q = label
+    terms, m = mcf.terms, mcf.m
+    xs = [q - C, residue_one(D, q)]
     for i in range(count):
         xs.append(residue_one(terms[i % m] * xs[-1] - xs[-2], q))
     return xs
@@ -302,11 +316,10 @@ def partial_zeta0(ctx: ConeContext, label: RayLabel) -> Fraction:
     """
     if gcd(ctx.norm_of(label), ctx.q) != 1:
         raise LabelError("label lies outside F_delta")
-    q, steps = label.q, ctx.steps
-    single = _series12(label.C, label.D, q, steps, ctx.lam)
-    by_orbit = sum(
-        _series12(member.C, member.D, q, steps, 1) for member in ctx.orbit_of(label)
-    )
+    C, D, q = label
+    steps = ctx.steps
+    single = _series12(C, D, q, steps, ctx.lam)
+    by_orbit = sum(_series12(c, d, q, steps, 1) for c, d, _ in ctx.orbit_of(label))
     denom = 12 * q * q
     if by_orbit != single:
         raise InternalCheckError(

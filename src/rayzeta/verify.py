@@ -33,7 +33,7 @@ from .family import (
     usable,
 )
 from .hecke import DirichletChar, hecke_L0, hecke_L0_family, orbit_representatives
-from .quadfield import unit_index_lambda
+from .quadfield import mult_matrix, unit_index_lambda
 from .shintani import (
     RayLabel,
     boundary_points,
@@ -109,7 +109,8 @@ def check_yamamoto_vs_direct(n_max: int = 12, qs=(2, 3, 5)) -> int:
 
 def check_orbit_recursions(n_max: int = 12, qs=(2, 3, 5)) -> int:
     """Unit action matches the per-family explicit label recursions; orbit
-    length equals the unit index; orbits at n and n+q coincide."""
+    length equals lambda of `mult_matrix(eps)` on Fractions, a second route
+    to the context's `unit_matrix`; orbits at n and n+q coincide."""
     checked = 0
     for name in sorted(PRESETS):
         for q in qs:
@@ -127,7 +128,7 @@ def check_orbit_recursions(n_max: int = 12, qs=(2, 3, 5)) -> int:
                     if (img.C, img.D) != step:
                         raise Mismatch(f"{name} q={q} n={n} label ({lab.C},{lab.D})")
                     orb = orbit(lab, ctx)
-                    if len(orb) != unit_index_lambda(ctx.eps, q, ctx.basis):
+                    if len(orb) != unit_index_lambda(mult_matrix(ctx.eps, ctx.basis), q):
                         raise Mismatch(f"orbit length mismatch {name} q={q} n={n}")
                     if n + q in ns:
                         ctx2 = instantiate(spec, n + q).ctx

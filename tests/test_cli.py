@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rayzeta
-from rayzeta import cli, family, verify
+from rayzeta import cli, family, shintani, verify
 from rayzeta.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -574,6 +574,41 @@ def test_zeta_computes_each_norm_and_orbit_once(capsys, monkeypatch):
     assert {(C, D) for kind, C, D in calls if kind == "orbit"} == {
         (row["C"], row["D"]) for row in rows}
     assert sum(kind == "norm" for kind, _, _ in calls) == 24  # every (C, D) != (0, 0)
+
+
+def test_lambda_and_label_norms_take_the_integer_route(capsys, monkeypatch):
+    # the residue data is built once per residue context, and no context,
+    # residue or cone, reads lambda or a label norm off Fraction arithmetic
+    from collections import Counter
+
+    from rayzeta import contfrac, quadfield
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    modules = [m for k, m in sys.modules.items() if k.startswith("rayzeta")]
+    for name in ("mult_matrix", "norm"):
+        original = getattr(quadfield, name)
+        for module in modules:  # every binding, as bench/spans.py patches
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    monkeypatch.setattr(quadfield.QuadElem, "inverse",
+                        counted("inverse", quadfield.QuadElem.inverse))
+    monkeypatch.setattr(family, "plus_to_minus", counted("plus_to_minus", contfrac.plus_to_minus))
+    monkeypatch.setattr(family.ResidueContext, "__init__",
+                        counted("residue_context", family.ResidueContext.__init__))
+    monkeypatch.setattr(shintani.ConeContext, "__post_init__",
+                        counted("cone_context", shintani.ConeContext.__post_init__))
+    code, out = run(capsys, ["family", "--preset", "quartic-16n4", "--q", "5"])
+    assert code == EXIT_OK and json.loads(out)["rows"]
+    assert calls["plus_to_minus"] == calls["residue_context"] == 5
+    assert calls["cone_context"] > 0
+    assert (calls["mult_matrix"], calls["norm"], calls["inverse"]) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("argv", [

@@ -26,6 +26,7 @@ from rayzeta.quadfield import (
     QuadField,
     eval_coords,
     fundamental_unit_totally_positive,
+    unit_matrix,
 )
 
 
@@ -248,7 +249,7 @@ def test_unit_from_runs_equals_per_term_recurrence(period):
     x = minus_cf_value(period)
     basis = ModuleBasis(x)
     want = per_term_unit(basis, per_term_minus_cf(x))
-    assert fundamental_unit_totally_positive(basis, minus_cf(x)) == want
+    assert fundamental_unit_totally_positive(basis, unit_matrix(minus_cf(x).runs)) == want
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -261,7 +262,8 @@ def test_run_length_minus_cf_and_unit_on_presets(name):
         terms = per_term_minus_cf(delta)
         assert mcf.terms == terms and mcf == plus_to_minus(cf), n
         basis = ModuleBasis(delta)
-        assert fundamental_unit_totally_positive(basis, mcf) == per_term_unit(basis, terms), n
+        eps = fundamental_unit_totally_positive(basis, unit_matrix(mcf.runs))
+        assert eps == per_term_unit(basis, terms), n
 
 
 def test_period_limit_counts_terms_not_runs():

@@ -1,5 +1,6 @@
 """Tests for the quasi-polynomial engine over polynomial families."""
 
+import json
 import re
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from rayzeta import family
+from rayzeta.cli import main
 from rayzeta.contfrac import PeriodicCF, cf_value, minus_cf, plus_to_minus, s_indices
 from rayzeta.exactmath import LimitError, frac_unit
 from rayzeta.family import (
@@ -37,7 +39,7 @@ from rayzeta.family import (
     quasi_poly,
     sample_ks,
 )
-from rayzeta.quadfield import mult_matrix, norm, trace
+from rayzeta.quadfield import mult_matrix, norm, trace, unit_index_lambda
 from rayzeta.shintani import (
     RayLabel,
     f_delta,
@@ -166,9 +168,10 @@ def test_coeffs_closed_sum_matches_direct_value():
     spec = PRESETS["rd-n2p2"].with_q(2)
     lab = RayLabel(1, 0, 2)
     inst = instantiate(spec, 3)  # r = 1, k = 1
+    rctx = ResidueContext(spec, 1)
     total = [Fraction(0), Fraction(0)]
     for member in orbit(lab, inst.ctx):
-        part = coeffs_closed(spec, member, 1)
+        part = coeffs_closed(rctx, member)
         total = [t + p for t, p in zip(total, part)]
     assert total[0] + total[1] * inst.k == partial_zeta0(inst.ctx, lab)
 
@@ -253,17 +256,30 @@ def test_uncertifiable_family_raises():
             ResidueContext(spec, r)
 
 
-def test_radicand_other_than_f_is_refused_where_a_field_is_built():
+def test_radicand_other_than_f_is_refused_where_a_field_is_built(monkeypatch, capsys):
     # [[2n, n]] with f off by a constant: the trace and norm of delta(n)
-    # are in Z[n], so the label side is decided; f(n) = n^2 + 3 is
-    # checked by instantiate against the radicand n^2 + 2 of delta(n)
+    # are in Z[n], so the label side is decided; f(n) = n^2 + 3 is checked
+    # against the radicand n^2 + 2 of delta(n) on integers, by instantiate
+    # and by the residue context's scan for its first field, which builds none
     spec = FamilySpec("adv", (3, 0, 1), ((0, 2), (0, 1)), 2, (1, 100))
     assert delta_trace_norm(spec) == TRACE_NORM["rd-n2p2"]
     radicand = r"^Q\(delta\(2\)\) has radicand 6, expected f\(2\) = 7$"
     with pytest.raises(HypothesisError, match=radicand):
         instantiate(spec, 2)
-    with pytest.raises(HypothesisError, match="has radicand"):
+    monkeypatch.setattr(family, "instantiate", no_field)
+    with pytest.raises(HypothesisError, match=radicand):
+        ResidueContext(spec, 0)
+    with pytest.raises(HypothesisError, match=radicand):
         quasi_poly(spec, RayLabel(1, 0, 2), 0)
+    # so `family` reports it once per residue, not once per label
+    argv = ["family", "--f-poly", "3,0,1", "--a-polys", "0,2;0,1", "--q", "5"]
+    assert main(argv) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["rows"] == []
+    assert report["failures"] == [{"r": 0, "error": "a_i(0) = (0, 0) has a term < 1"}] + [
+        {"r": r, "error": f"Q(delta({n})) has radicand {n * n + 2}, expected f({n}) = {n * n + 3}"}
+        for r, n in ((1, 6), (2, 2), (3, 8))] + [
+        {"r": 4, "error": "Q(delta(4)) has radicand 2, expected f(4) = 19"}]  # 18 = 2 * 3^2
 
 
 def test_lagrange_fit_recovers_polynomial():
@@ -365,7 +381,9 @@ def matrix_mod(ctx, q):
 def test_residue_context_equals_instance_data(name):
     # lambda, the unit's matrix mod q, F_delta, every orbit and every label
     # norm mod q of the residue context equal those of three fields per
-    # residue, for every q <= 11 and every r
+    # residue, for every q <= 11 and every r; each field's integer lambda
+    # and label norms equal the Fraction oracles, lambda of mult_matrix and
+    # the field norm of C + D*delta
     cases = empty = 0
     for q in range(2, 12):
         spec = PRESETS[name].with_q(q)
@@ -381,7 +399,9 @@ def test_residue_context_equals_instance_data(name):
             orbits = {lab: orbit(lab, rctx) for lab in fd}
             for inst in first_instances(spec, r, 3):
                 ctx = inst.ctx
-                assert rctx.lam == ctx.lam
+                assert rctx.lam == ctx.lam == unit_index_lambda(matrix_mod(ctx, q), q)
+                assert [ctx.label_norm(lab) for lab in labels] == [
+                    abs(norm(lab.C + lab.D * ctx.basis.delta)) for lab in labels]
                 assert rctx.matrix == matrix_mod(ctx, q)
                 assert [rctx.norm_of(lab) for lab in labels] == [
                     ctx.norm_of(lab) % q for lab in labels]

@@ -19,11 +19,17 @@ from rayzeta.quadfield import (
     is_perfect_square,
     is_squarefree,
     is_totally_positive,
+    mult_matrix,
     norm,
     squarefree_part,
     trace,
     unit_index_lambda,
+    unit_matrix,
 )
+
+
+def unit_of(basis):
+    return fundamental_unit_totally_positive(basis, unit_matrix(minus_cf(basis.delta).runs))
 
 
 def test_squarefree_classification():
@@ -192,12 +198,12 @@ def test_coords_round_trip():
 def test_fundamental_unit_small_fields():
     K3 = QuadField(3)
     basis3 = ModuleBasis(K3.elem(2, 1))
-    eps3 = fundamental_unit_totally_positive(basis3, minus_cf(basis3.delta))
+    eps3 = unit_of(basis3)
     assert eps3 == K3.elem(2, 1)
 
     K11 = QuadField(11)
     basis11 = ModuleBasis(K11.elem(10, 3))
-    eps11 = fundamental_unit_totally_positive(basis11, minus_cf(basis11.delta))
+    eps11 = unit_of(basis11)
     assert eps11 == K11.elem(10, 3)
 
 
@@ -205,19 +211,35 @@ def test_fundamental_unit_properties():
     for delta_pair, Delta in [((2, 1), 3), ((10, 3), 11), ((3, 1), 6)]:
         K = QuadField(Delta)
         basis = ModuleBasis(K.elem(*delta_pair))
-        eps = fundamental_unit_totally_positive(basis, minus_cf(basis.delta))
+        eps = unit_of(basis)
         assert norm(eps) == 1
         assert is_totally_positive(eps)
         u, v = coords_in_basis(eps, basis)
         assert u.denominator == 1 and v.denominator == 1
+        # the integer matrix equals the Fraction oracle's
+        assert unit_matrix(minus_cf(basis.delta).runs) == mult_matrix(eps, basis)
+
+
+# on [1, delta], delta = 2 + sqrt(3) = eps: eps's own matrix is ((0, -1), (1, 4))
+@pytest.mark.parametrize("matrix", [
+    ((1, 0), (0, 1)),  # 1: trace 2
+    ((0, 1), (-1, -4)),  # -eps: trace -4
+    ((4, 1), (-1, 0)),  # eps' = 1/eps < 1: c < 0
+    ((0, 1), (1, 4)),  # determinant -1
+])
+def test_fundamental_unit_refuses_a_matrix_that_is_not_its_own(matrix):
+    basis = ModuleBasis(QuadField(3).elem(2, 1))
+    assert fundamental_unit_totally_positive(basis, ((0, -1), (1, 4))) == basis.delta
+    with pytest.raises(UnitSearchError):
+        fundamental_unit_totally_positive(basis, matrix)
 
 
 def test_unit_index_lambda_counts_orbit_period():
     K = QuadField(3)
     basis = ModuleBasis(K.elem(2, 1))
-    eps = fundamental_unit_totally_positive(basis, minus_cf(basis.delta))
+    eps = unit_of(basis)
     for q in (2, 3, 5):
-        lam = unit_index_lambda(eps, q, basis)
+        lam = unit_index_lambda(mult_matrix(eps, basis), q)
         # eps^lam must have coordinates congruent to (1, 0) mod q,
         # and no smaller positive power may.
         power = K.elem(1)
@@ -231,9 +253,9 @@ def test_unit_index_lambda_counts_orbit_period():
 def test_unit_index_lambda_is_bounded_by_q_squared():
     K = QuadField(11)
     basis = ModuleBasis(K.elem(10, 3))
-    eps = fundamental_unit_totally_positive(basis, minus_cf(basis.delta))
+    eps = unit_of(basis)
     for q in range(2, 12):
-        assert 1 <= unit_index_lambda(eps, q, basis) <= q * q - 1
+        assert 1 <= unit_index_lambda(mult_matrix(eps, basis), q) <= q * q - 1
     # 2 is not a unit: its powers never return to 1 modulo 2*[1, delta]
     with pytest.raises(UnitSearchError):
-        unit_index_lambda(K.elem(2), 2, basis)
+        unit_index_lambda(mult_matrix(K.elem(2), basis), 2)

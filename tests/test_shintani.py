@@ -164,6 +164,15 @@ def test_max_terms_cap(monkeypatch):
         ConeContext(ModuleBasis(K.elem(2, 1)), 2)
 
 
+def test_context_refuses_a_delta_that_is_not_integral():
+    # delta = (3 + sqrt(3))/2 is reduced, with trace 3 but norm 3/2: its
+    # unit's matrix gives no integral trace and norm, so no label norm is
+    # an ideal norm
+    delta = QuadField(3).elem(Fraction(3, 2), Fraction(1, 2))
+    with pytest.raises(LabelError, match="^\\(C\\+D\\*delta\\)\\*b is not integral"):
+        ConeContext(ModuleBasis(delta), 2)
+
+
 def yamamoto_single_sum(ctx, label):
     """Oracle: the single sum over i = 1..lambda*m on Fraction coordinates."""
     m = ctx.mcf.m
