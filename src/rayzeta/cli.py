@@ -342,6 +342,9 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_family(args) -> int:
+    """Closed form and oracle per (residue, label).  A refused residue is one
+    failure row for all its labels; the exit code is the gravest seen, 4 (an
+    oracle mismatch) over 3 (a refusal)."""
     spec = family_from_args(args)
     ks = parse_k_range(args.k_range) if args.k_range is not None else range(0, 7)
     want = parse_label(args.label, spec.q) if args.label is not None else None
@@ -361,7 +364,7 @@ def cmd_family(args) -> int:
             labels = f_delta(rctx)
         except HypothesisError as e:
             report["failures"].append({"r": r, "error": str(e)})
-            exit_code = EXIT_HYPOTHESIS
+            exit_code = max(exit_code, EXIT_HYPOTHESIS)
             continue
         for lab in labels:
             if want is not None and lab != want:
@@ -372,7 +375,7 @@ def cmd_family(args) -> int:
                 report["failures"].append(
                     {"r": r, "C": lab.C, "D": lab.D, "error": str(e)}
                 )
-                exit_code = EXIT_HYPOTHESIS
+                exit_code = max(exit_code, EXIT_HYPOTHESIS)
                 continue
             nform = k_to_n_form(qp)
             row = {
@@ -391,12 +394,12 @@ def cmd_family(args) -> int:
                 )
                 row["used_ks"] = list(fit.used_ks)
                 row["skipped_ks"] = list(fit.skipped_ks)
+                if not row["oracle_ok"]:
+                    exit_code = EXIT_INTERNAL  # a mismatch outranks any refusal
             except HypothesisError as e:
                 row["oracle_ok"] = False
                 row["oracle_error"] = str(e)
-                exit_code = EXIT_HYPOTHESIS
-            if not row["oracle_ok"] and exit_code == EXIT_OK:
-                exit_code = EXIT_INTERNAL
+                exit_code = max(exit_code, EXIT_HYPOTHESIS)
             report["rows"].append(row)
     emit(report, args)
     return exit_code

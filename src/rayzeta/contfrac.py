@@ -237,15 +237,6 @@ def primitive_period(terms: tuple) -> tuple:
     return next(terms[:p] for p in range(1, s + 1) if s % p == 0 and terms == terms[:p] * (s // p))
 
 
-def minus_period(terms: tuple[int, ...]) -> int:
-    """The least period m of the minus CF of 1 + [[terms]], terms >= 1, in
-    O(s) per divisor of s: `s_indices`' last S_j on the primitive period (a
-    period repeated t times would give t*m)."""
-    terms = primitive_period(terms)
-    p = len(terms)
-    return sum(terms[(2 * j - 1) % p] for j in range(1, pair_count(p) + 1))
-
-
 def plus_to_minus(cf: PeriodicCF) -> MinusCF:
     """Minus CF of 1 + value(cf) via the index rule: b_i = a_{2j} + 2 at
     i = S_j, b_i = 2 otherwise, with period m = S_{s/2} (even s) or S_s (odd s).

@@ -20,11 +20,15 @@ F_delta, the orbits and the label norms mod q, on the integer route a
 `ConeContext` takes over Z.  The paper's norm invariance is decided exactly
 by `delta_trace_norm`: the trace and norm of delta(n) either lie in Z[n],
 or the family is refused with a HypothesisError.  Fields are built only
-for the direct zeta values that check the closed forms.  `checked_terms`
-tests f(n) against the radicand of delta(n) on integers, for `instantiate`
-and for the residue context's first n alike, so a wrong f is refused once
-per residue.  A command keeps one residue context per residue, and its
-`FieldTable`, so each field is built at most once per command.
+for the direct zeta values that check the closed forms.
+
+Each n is decided once, by one rule: `checked_terms` finds it usable,
+skipped (below the range, or f(n) not squarefree) or refused (f(n) <= 1, a
+term < 1, a radicand other than f(n), delta(n) not integral).  A command
+keeps one residue context per residue, and its `FieldTable` holds that
+answer for every n it meets and builds each usable field at most once.  The
+context checks its two witnesses, the first two usable n with k < `SCAN`,
+when it is built, so a residue is refused once, not once per label.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .contfrac import (
     PeriodicCF,
     cf_value,
     fixed_point,
-    minus_period,
     plus_to_minus,
     primitive_period,
     s_indices,
@@ -230,7 +233,9 @@ def checked_terms(spec: FamilySpec, n: int) -> tuple[int, tuple[int, ...]]:
         raise HypothesisError(f"f({n}) = {fn} is not a valid radicand")
     terms = tuple(poly_eval(a, n) for a in spec.a_polys)
     positive = min(terms) >= 1
-    if positive and minus_period(terms) > MAX_PERIOD:
+    # the minus period m is the last S_j of the primitive period (a period
+    # repeated t times would give t*m): O(s) for any m
+    if positive and s_indices(PeriodicCF(primitive_period(terms)))[-1] > MAX_PERIOD:
         raise LimitError(f"minus CF period not found within {MAX_PERIOD} terms")
     if not is_squarefree(fn):
         raise NonSquarefreeSkip(n, fn)
@@ -247,90 +252,64 @@ def checked_terms(spec: FamilySpec, n: int) -> tuple[int, tuple[int, ...]]:
     return fn, terms
 
 
-def instantiate(spec: FamilySpec, n: int) -> FieldInstance:
-    """Build the field K_n = Q(sqrt(f(n))) with delta(n) = 1 + [[a_0(n),...]].
+def instantiate(spec: FamilySpec, n: int, checked=None) -> FieldInstance:
+    """Build the field K_n = Q(sqrt(f(n))) with delta(n) = 1 + [[a_0(n),...]];
+    `checked` is `checked_terms(spec, n)` when the caller already holds it.
 
     Raises NonSquarefreeSkip if f(n) is not squarefree, HypothesisError
     if the instance violates the family hypotheses (a term < 1, a radicand
     other than f(n), delta(n) not an algebraic integer), and LimitError past
     a size limit (`checked_terms`, `ConeContext`).
     """
-    fn, terms = checked_terms(spec, n)
+    fn, terms = checked or checked_terms(spec, n)
     cf = PeriodicCF(terms)
     delta = cf_value(cf, fn) + 1  # f(n) is certified as the radicand above
     return FieldInstance(spec, n, cf, ConeContext(ModuleBasis(delta), spec.q))
 
 
-def usable(spec: FamilySpec, n: int) -> bool:
-    """True iff n lies in the family's range and f(n) > 1 is squarefree."""
-    if n < spec.n_range[0]:
-        return False
-    fn = poly_eval(spec.f_poly, n)
-    return fn > 1 and is_squarefree(fn)
-
-
-def residue_ns(spec: FamilySpec, r: int, limit: int):
-    """n = qk + r for k < limit, from the start of the family's range on."""
-    return (n for n in range(r, spec.q * limit + r, spec.q) if n >= spec.n_range[0])
+SCAN = 128  # a residue's n = qk + r are scanned for usable fields over k < SCAN
 
 
 class FieldTable:
-    """The fields K_n, n = r mod q, that one command uses: n maps to its
-    `FieldInstance`, to None where f(n) is not squarefree, or to the
-    HypothesisError that refused it.  Each entry takes one `instantiate`
-    call, and the table lives as long as its owner, not the process."""
+    """The n = r mod q that one command meets, each decided once by
+    `checked_terms`: usable, skipped (below the family's range, or f(n) not
+    squarefree) or refused with the HypothesisError it raised; and the field
+    of each usable n, built at most once.  The table lives as long as its
+    owner, not the process."""
 
     def __init__(self, spec: FamilySpec, r: int):
-        self.spec, self.r, self.built = spec, r, {}
+        self.spec, self.r, self.checked, self.built = spec, r, {}, {}
+
+    def check(self, n: int) -> tuple[int, tuple[int, ...]] | None:
+        """`checked_terms(spec, n)` where n is usable, None where it is
+        skipped; raises the refusal.  No field is built."""
+        if n not in self.checked:
+            try:
+                in_range = n >= self.spec.n_range[0]
+                self.checked[n] = checked_terms(self.spec, n) if in_range else None
+            except NonSquarefreeSkip:
+                self.checked[n] = None
+            except HypothesisError as e:
+                self.checked[n] = e
+        if isinstance(self.checked[n], HypothesisError):
+            raise self.checked[n]
+        return self.checked[n]
 
     def field(self, n: int) -> FieldInstance | None:
+        """The field K_n, or None where n is skipped; raises the refusal."""
         if n not in self.built:
-            try:
-                self.built[n] = instantiate(self.spec, n)
-            except NonSquarefreeSkip:
-                self.built[n] = None
-            except HypothesisError as e:
-                self.built[n] = e
-        if isinstance(self.built[n], HypothesisError):
-            raise self.built[n]
+            checked = self.check(n)
+            self.built[n] = checked and instantiate(self.spec, n, checked)
         return self.built[n]
 
-    def first(self, count: int) -> list[FieldInstance]:
-        """The first `count` usable instances, from the start of the range."""
-        fields = map(self.field, residue_ns(self.spec, self.r, max(count * 16, 128)))
-        out = list(islice(filter(None, fields), count))  # builds no field past them
-        if len(out) < count:
-            raise HypothesisError(
-                f"could not find {count} squarefree instances for residue {self.r}"
-            )
-        return out
-
-
-def first_usable(spec: FamilySpec, r: int, count: int, limit: int) -> list[int]:
-    """The first `count` n = qk + r, k < limit, in the family's range with
-    f(n) squarefree; `checked_terms` raises on each as `instantiate` would,
-    the radicand check included."""
-    out = []
-    for n in residue_ns(spec, r, limit):
-        if len(out) == count:
-            break
-        try:
-            checked_terms(spec, n)
-        except NonSquarefreeSkip:
-            continue
-        out.append(n)
-    return out
-
-
-def sample_ks(spec: FamilySpec, r: int, k_values) -> tuple[list[int], list[int]]:
-    """Split candidate k values into usable ones (f(qk+r) squarefree) and skipped."""
-    good, skipped = [], []
-    for k in k_values:
-        if usable(spec, spec.q * k + r):
-            good.append(k)
-        else:
-            skipped.append(k)
-    return good, skipped
+    def first_ns(self, count: int) -> list[int]:
+        """The first `count` usable n = qk + r, k < SCAN, checked and not
+        built; HypothesisError at the first refusal, or if there are fewer."""
+        q, r = self.spec.q, self.r
+        ns = list(islice(filter(self.check, range(r, q * SCAN + r, q)), count))
+        if len(ns) < count:
+            raise HypothesisError(f"could not find {count} squarefree instances for residue {r}")
+        return ns
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +334,19 @@ class ResidueContext:
     The matrix is `unit_matrix` of the residue minus CF mod q (mod q a run
     of k 2s needs only k mod q).  Lambda and the norms take `ConeContext`'s
     integer route, with tr and N of delta from `delta_trace_norm` at r.  No
-    field is built.  Raises HypothesisError when tr and N of delta(n) are
-    not in Z[n], and, as `first_instances(spec, r, 1)` does, when the
-    residue holds no field or its first is refused.
+    field is built: the context checks its two `witnesses`, the first two
+    usable n of its table, and builds neither.  Raises HypothesisError when
+    tr and N of delta(n) are not in Z[n], when the scan refuses an n before
+    two usable ones (a wrong f, a term < 1), or when it holds fewer than
+    two; LimitError past the period limit.
     """
 
     def __init__(self, spec: FamilySpec, r: int):
         q = self.q = spec.q
         self.spec, self.r = spec, r
         polys = decided_trace_norm(spec)
-        if not first_usable(spec, r, 1, 128):  # first_instances' limit
-            raise HypothesisError(f"could not find 1 squarefree instances for residue {r}")
+        self.fields = FieldTable(spec, r)
+        self.witnesses = self.fields.first_ns(2)
         self.trace_norm = tuple(poly_eval(p, r) % q for p in polys)  # of delta mod q
         self.gammas, self.taus = gamma_tau(spec, r)
         rcf = PeriodicCF(tuple(self.gammas))
@@ -373,7 +354,6 @@ class ResidueContext:
         self.mcf = plus_to_minus(rcf)
         self.matrix = tuple(tuple(e % q for e in row) for row in unit_matrix(self.mcf.runs))
         self.lam = unit_index_lambda(self.matrix, q)
-        self.fields = FieldTable(spec, r)
 
     def norm_of(self, label: RayLabel) -> int:
         """The norm of (C + D*delta(n))*b mod q, the same for every n = r mod q."""
@@ -522,18 +502,18 @@ def denom_bounds_ok(qp: QuasiPoly, r: int) -> bool:
 
 def norm_invariance_check(spec: FamilySpec, label: RayLabel, r: int) -> bool:
     """True iff the label's ideal norm mod q is the same for every usable
-    n = qk + r, which holds wherever `delta_trace_norm` decides the family;
-    HypothesisError elsewhere, and unless two of the first four usable n with
-    k < 64 exist.  No field is built."""
-    decided_trace_norm(spec)
-    if len(first_usable(spec, r, 4, 64)) < 2:
-        raise HypothesisError(f"fewer than two usable samples for r={r}")
+    n = qk + r, which holds wherever `delta_trace_norm` decides the family
+    and the residue context of r can be built; HypothesisError elsewhere.
+    No field is built.  `verify` checks the hypothesis with it; `quasi_poly`
+    relies on the residue context itself."""
+    ResidueContext(spec, r)
     return True
 
 
 def first_instances(spec: FamilySpec, r: int, count: int) -> list[FieldInstance]:
-    """The first `count` usable instances with n congruent to r."""
-    return FieldTable(spec, r).first(count)
+    """The first `count` usable instances with n congruent to r, k < SCAN."""
+    table = FieldTable(spec, r)
+    return [table.field(n) for n in table.first_ns(count)]
 
 
 def quasi_poly(
@@ -541,16 +521,15 @@ def quasi_poly(
 ) -> QuasiPoly:
     """Closed-form k-form quasi-polynomial of zeta_q(0, (C+D*delta(n))*b) for
     n = qk + r, assembled over the orbit of the label per the residue-level
-    coefficient formulas; self-verified against direct evaluation at two k.
-    The orbit and both fields come from `rctx`, built here if not given.
+    coefficient formulas; self-verified against direct evaluation on the
+    two witnesses of `rctx`.  The orbit and both fields come from `rctx`,
+    built here if not given.
     """
-    norm_invariance_check(spec, label, r)
     rctx = rctx or ResidueContext(spec, r)
-    witnesses = rctx.fields.first(2)
     parts = [coeffs_closed(rctx, member) for member in orbit(label, rctx)]
     coeffs = [sum(column, Fraction(0)) for column in zip(*parts)]
     poly = QuasiPoly(spec.q, spec.d, "k", {(r, i): c for i, c in enumerate(coeffs)})
-    for inst in witnesses:
+    for inst in map(rctx.fields.field, rctx.witnesses):
         direct = partial_zeta0(inst.ctx, label)
         got = poly.evaluate(inst.n)
         if got != direct:
@@ -598,20 +577,23 @@ def fit_oracle(
 ) -> FitResult:
     """Independent oracle: exact Lagrange fit of direct zeta values at
     n = qk + r over the usable k, with a consistency flag certifying that
-    the extra points lie on the degree-<=d polynomial.  The fields come from
-    the table of the residue context `rctx`, or from a table of their own."""
+    the extra points lie on the degree-<=d polynomial.  Each k's field, or
+    its skip, comes from the table of the residue context `rctx`, or from a
+    table of their own."""
     d = spec.d
-    usable, skipped = sample_ks(spec, r, k_values)
+    table = rctx.fields if rctx else FieldTable(spec, r)
+    fields = {k: table.field(spec.q * k + r) for k in k_values}
+    usable = [k for k in fields if fields[k]]
     if len(usable) < d + 2:
         raise HypothesisError(
             f"need at least {d + 2} squarefree samples, got {len(usable)}"
         )
-    fields = rctx.fields if rctx else FieldTable(spec, r)
-    points = [(k, partial_zeta0(fields.field(spec.q * k + r).ctx, label)) for k in usable]
+    points = [(k, partial_zeta0(fields[k].ctx, label)) for k in usable]
     fit = lagrange_fit(points[: d + 1])
     consistent = all(
         sum((c * k**p for p, c in enumerate(fit)), Fraction(0)) == v
         for k, v in points[d + 1 :]
     )
     fit += [Fraction(0)] * (d + 1 - len(fit))
-    return FitResult(tuple(fit), consistent, tuple(usable), tuple(skipped))
+    skipped = tuple(k for k in fields if not fields[k])
+    return FitResult(tuple(fit), consistent, tuple(usable), skipped)

@@ -198,7 +198,7 @@ def hecke_L0_family(
 
     The representatives, their character symbols and the fields come from
     each residue's `ResidueContext`; every residue is verified exactly
-    against an L-value assembled directly on its first field.
+    against an L-value assembled directly on its first witness field.
     """
     if chi.modulus != spec.q:
         raise CharacterError("character modulus must equal q")
@@ -206,7 +206,7 @@ def hecke_L0_family(
     out: dict[int, list[CharSpanValue]] = {}
     for r in residues:
         rctx = ResidueContext(spec, r)
-        witness = rctx.fields.first(1)[0]
+        witness = rctx.fields.field(rctx.witnesses[0])
         vecs = [CharSpanValue.zero() for _ in range(spec.d + 1)]
         for rep in orbit_representatives(rctx):
             sym = ray_char_value(chi, rctx.norm_of(rep))

@@ -20,7 +20,10 @@ from .exactmath import residue_zero
 from .family import (
     PRESETS,
     FamilySpec,
+    FieldInstance,
+    FieldTable,
     QuasiPoly,
+    ResidueContext,
     denom_bounds_ok,
     first_instances,
     fit_oracle,
@@ -29,8 +32,6 @@ from .family import (
     n_to_k_form,
     norm_invariance_check,
     quasi_poly,
-    sample_ks,
-    usable,
 )
 from .hecke import DirichletChar, hecke_L0, hecke_L0_family, orbit_representatives
 from .quadfield import mult_matrix, unit_index_lambda
@@ -67,16 +68,19 @@ class Mismatch(Exception):
     """Two computations that must agree did not; the message locates it."""
 
 
-def _usable_ns(spec: FamilySpec, n_max: int) -> list[int]:
-    return [n for n in range(spec.n_range[0], n_max + 1) if usable(spec, n)]
+def _fields(spec: FamilySpec, n_max: int) -> list[FieldInstance]:
+    """The field of every n <= n_max that the family's rule does not skip,
+    from one `FieldTable` per residue."""
+    tables = [FieldTable(spec, r) for r in range(spec.q)]
+    return [inst for n in range(n_max + 1) if (inst := tables[n % spec.q].field(n))]
 
 
 def check_structure(name: str, n_max: int) -> int:
     """Plus-CF terms and fundamental unit equal the preset's closed forms."""
     spec = PRESETS[name]
     checked = 0
-    for n in _usable_ns(spec, n_max):
-        inst = instantiate(spec, n)
+    for inst in _fields(spec, n_max):
+        n = inst.n
         terms, (a, b), _ = STRUCTURE[name](n)
         if inst.cf.terms != terms:
             raise Mismatch(f"CF terms wrong at n={n}")
@@ -92,9 +96,8 @@ def check_yamamoto_vs_direct(n_max: int = 12, qs=(2, 3, 5)) -> int:
     for name in sorted(PRESETS):
         for q in qs:
             spec = PRESETS[name].with_q(q)
-            for n in _usable_ns(spec, n_max):
-                inst = instantiate(spec, n)
-                ctx = inst.ctx
+            for inst in _fields(spec, n_max):
+                n, ctx = inst.n, inst.ctx
                 total = ctx.lam * ctx.mcf.m
                 bps = boundary_points(ctx.basis, ctx.mcf, total + 1)
                 for lab in f_delta(ctx):
@@ -115,11 +118,10 @@ def check_orbit_recursions(n_max: int = 12, qs=(2, 3, 5)) -> int:
     for name in sorted(PRESETS):
         for q in qs:
             spec = PRESETS[name].with_q(q)
-            ns = set(_usable_ns(spec, n_max + q))
-            for n in sorted(ns):
+            fields = {inst.n: inst for inst in _fields(spec, n_max + q)}
+            for n, inst in fields.items():
                 if n > n_max:
                     break
-                inst = instantiate(spec, n)
                 ctx = inst.ctx
                 _, _, action = STRUCTURE[name](n)
                 for lab in f_delta(ctx):
@@ -130,8 +132,8 @@ def check_orbit_recursions(n_max: int = 12, qs=(2, 3, 5)) -> int:
                     orb = orbit(lab, ctx)
                     if len(orb) != unit_index_lambda(mult_matrix(ctx.eps, ctx.basis), q):
                         raise Mismatch(f"orbit length mismatch {name} q={q} n={n}")
-                    if n + q in ns:
-                        ctx2 = instantiate(spec, n + q).ctx
+                    if n + q in fields:
+                        ctx2 = fields[n + q].ctx
                         orb2 = orbit(RayLabel(lab.C, lab.D, q), ctx2)
                         if [(o.C, o.D) for o in orb] != [(o.C, o.D) for o in orb2]:
                             raise Mismatch(f"orbit changed {name} q={q} n={n}->{n + q}")
@@ -148,11 +150,12 @@ def _closed_forms(qs: tuple[int, ...], k_max: int) -> tuple:
         for q in qs:
             spec = PRESETS[name].with_q(q)
             for r in range(q):
-                ks, _ = sample_ks(spec, r, range(k_max + 1))
-                if len(ks) < spec.d + 2:
+                table = FieldTable(spec, r)
+                if sum(1 for k in range(k_max + 1) if table.check(q * k + r)) < spec.d + 2:
                     continue
-                for lab in f_delta(first_instances(spec, r, 1)[0].ctx):
-                    out.append((name, q, r, lab, quasi_poly(spec, lab, r)))
+                rctx = ResidueContext(spec, r)
+                for lab in f_delta(rctx):
+                    out.append((name, q, r, lab, quasi_poly(spec, lab, r, rctx)))
     return tuple(out)
 
 

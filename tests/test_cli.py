@@ -193,14 +193,14 @@ def test_reports_are_byte_stable(capsys, command):
 
 def test_family_residues_without_fields_are_failures(capsys):
     # 9 | n^2 + 2 for n = 4, 5 mod 9: those residues hold no field of the
-    # family, and the report names them as it always has
+    # family, so neither holds the two witnesses its residue context needs
     code, out = run(capsys, ["family", "--preset", "rd-n2p2", "--q", "9", "--label", "1,0"])
     assert code == EXIT_HYPOTHESIS
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "6e6e50f929724ff62ecf1cfe9e116a002a742b246861698fe184b815c077a092")
+        "dca5f6841ba7b788782c5eaccf07b285cbfda702f4221f30c66dabbdfdf1c077")
     report = json.loads(out)
     assert report["failures"] == [
-        {"r": r, "error": f"could not find 1 squarefree instances for residue {r}"}
+        {"r": r, "error": f"could not find 2 squarefree instances for residue {r}"}
         for r in (4, 5)]
     assert sorted(row["r"] for row in report["rows"]) == [0, 1, 2, 3, 6, 7, 8]
 
@@ -623,14 +623,75 @@ def test_each_field_is_built_once_per_command(capsys, monkeypatch, argv):
     built = Counter()
     instantiate = family.instantiate
 
-    def counted(spec, n):
+    def counted(spec, n, *checked):
         built[n] += 1
-        return instantiate(spec, n)
+        return instantiate(spec, n, *checked)
 
     monkeypatch.setattr(family, "instantiate", counted)
     code, _ = run(capsys, argv)
     assert code == EXIT_OK
     assert built and max(built.values()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--preset", "quartic-16n4", "--q", "5"],
+    ["lfunc", "--preset", "rd-n2p2", "--q", "5", "--char", "5:4:2=1"],
+])
+def test_each_n_is_decided_once_per_command(capsys, monkeypatch, argv):
+    # each residue's field table is the only place that decides an n: its
+    # witnesses, the oracle's samples and the direct L-values all read it,
+    # and the norm-invariance check, verify's, is not run again per label
+    from collections import Counter
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(spec, n, *args):
+            calls[name, n] += 1
+            return fn(spec, n, *args)
+        return wrapper
+
+    for name in ("checked_terms", "norm_invariance_check"):
+        monkeypatch.setattr(family, name, counted(name, getattr(family, name)))
+    code, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert calls and max(calls.values()) == 1
+    assert {name for name, _ in calls} == {"checked_terms"}
+
+
+@pytest.mark.parametrize("faults", [("mismatch", "refusal"), ("refusal", "mismatch")])
+def test_an_oracle_mismatch_outranks_a_refusal(capsys, monkeypatch, faults):
+    # exit 4 (internal verification failure) is kept over exit 3 (hypothesis
+    # violation), whichever of the two rows comes first
+    fit_oracle, order = cli.fit_oracle, iter(faults)
+
+    def faulty(*args):
+        fault = next(order, None)  # the first two rows, then the oracle itself
+        if fault == "refusal":
+            raise family.HypothesisError("refused")
+        fit = fit_oracle(*args)
+        return family.FitResult(fit.coeffs, fault is None, fit.used_ks, fit.skipped_ks)
+
+    monkeypatch.setattr(cli, "fit_oracle", faulty)
+    code, out = run(capsys, ["family", "--preset", "rd-n2p2", "--q", "3"])
+    assert code == EXIT_INTERNAL
+    rows = json.loads(out)["rows"]
+    assert [row["oracle_ok"] for row in rows[:3]] == [False, False, True]
+    assert [row.get("oracle_error") for row in rows[:2]] == [
+        "refused" if fault == "refusal" else None for fault in faults]
+
+
+def test_a_residue_is_refused_once_for_all_its_labels(capsys):
+    # f = 2 is the radicand of delta(0) = 2 + sqrt(2) but not of delta(3):
+    # the residue context checks both witnesses, so r = 0 fails once, as r =
+    # 1 and r = 2 do at their first n
+    code, out = run(capsys, ["family", "--f-poly", "2", "--a-polys", "2,2", "--q", "3"])
+    assert code == EXIT_HYPOTHESIS
+    report = json.loads(out)
+    assert report["rows"] == []
+    assert report["failures"] == [
+        {"r": r, "error": f"Q(delta({n})) has radicand {d}, expected f({n}) = 2"}
+        for r, n, d in ((0, 3, 17), (1, 1, 5), (2, 2, 10))]
 
 
 def test_no_field_outlives_its_command(capsys, monkeypatch):

@@ -13,10 +13,10 @@ from rayzeta.contfrac import (
     _surd_state,
     cf_value,
     minus_cf,
-    minus_period,
     pair_count,
     plus_cf,
     plus_to_minus,
+    primitive_period,
     s_indices,
 )
 from rayzeta.exactmath import LimitError
@@ -288,8 +288,12 @@ def test_period_limit_counts_terms_not_runs():
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=4), st.integers(1, 3))
 def test_minus_period_equals_least_period(base, repeat):
-    # the period from the index rule in O(s), repetitions of the plus period
-    # included, is the least period the ceiling algorithm finds
+    # the last S_j of the primitive period, the period `checked_terms` reads
+    # in O(s) with repetitions of the plus period included, is the least
+    # period the ceiling algorithm finds
+    def minus_period(terms):
+        return s_indices(PeriodicCF(primitive_period(terms)))[-1]
+
     terms = tuple(base) * repeat
     assert minus_period(terms) == minus_cf(cf_value(PeriodicCF(terms)) + 1).m
     assert minus_period(terms) == minus_period(tuple(base))

@@ -17,13 +17,13 @@ from rayzeta.family import (
     HypothesisError,
     NonSquarefreeSkip,
     PRESETS,
+    SCAN,
     QuasiPoly,
     FieldTable,
     ResidueContext,
     coeffs_closed,
     delta_trace_norm,
     first_instances,
-    first_usable,
     fit_oracle,
     gamma_tau,
     get_preset,
@@ -37,7 +37,6 @@ from rayzeta.family import (
     poly_eval,
     poly_mul,
     quasi_poly,
-    sample_ks,
 )
 from rayzeta.quadfield import mult_matrix, norm, trace, unit_index_lambda
 from rayzeta.shintani import (
@@ -84,12 +83,15 @@ def test_instantiate_reports_a_radicand_that_differs_from_f():
 
 
 def test_sample_ks_respects_range_and_squarefreeness():
+    # the field table skips n = qk + r below the range and where f(n) is not
+    # squarefree, and the oracle takes its used and skipped k from it
     spec = PRESETS["rd-n2p2"]  # n_range starts at 1
-    usable, skipped = sample_ks(spec, 0, range(4))
-    assert 0 in skipped  # n = 0 is below the valid range
-    usable1, skipped1 = sample_ks(spec, 1, range(4))
-    assert 2 in skipped1  # n = 5, f = 27 not squarefree
-    assert 0 in usable1 and 1 in usable1
+    table0, table1 = FieldTable(spec, 0), FieldTable(spec, 1)
+    assert table0.check(0) is None  # n = 0 is below the valid range
+    assert table1.check(5) is None  # n = 5, f = 27 not squarefree
+    assert table1.check(1) and table1.check(3)
+    fit = fit_oracle(spec, RayLabel(1, 0, 2), 1, range(4))
+    assert (fit.used_ks, fit.skipped_ks) == ((0, 1, 3), (2,))
 
 
 def test_gamma_tau_reconstructs_terms():
@@ -249,10 +251,11 @@ def test_uncertifiable_family_raises():
     # trace and norm are decided, but no residue holds a field
     spec = FamilySpec("adv", (4, 8, 4), ((0, 2), (0, 1)), 2, (0, 100))
     assert delta_trace_norm(spec) == TRACE_NORM["rd-n2p2"]
-    with pytest.raises(HypothesisError, match="^fewer than two usable samples for r=0$"):
+    no_witnesses = "^could not find 2 squarefree instances for residue 0$"
+    with pytest.raises(HypothesisError, match=no_witnesses):
         norm_invariance_check(spec, RayLabel(1, 0, 2), 0)
     for r in range(2):
-        with pytest.raises(HypothesisError, match=f"^could not find 1 squarefree .* residue {r}$"):
+        with pytest.raises(HypothesisError, match=f"^could not find 2 squarefree .* residue {r}$"):
             ResidueContext(spec, r)
 
 
@@ -389,7 +392,7 @@ def test_residue_context_equals_instance_data(name):
         spec = PRESETS[name].with_q(q)
         labels = [RayLabel(C, D, q) for C in range(q) for D in range(q) if C or D]
         for r in range(q):
-            if not first_usable(spec, r, 1, 128):
+            if len(list(filter(FieldTable(spec, r).check, range(r, q * SCAN, q)))) < 2:
                 with pytest.raises(HypothesisError, match=f"residue {r}$"):
                     ResidueContext(spec, r)
                 empty += 1
@@ -413,7 +416,7 @@ def test_residue_context_equals_instance_data(name):
     assert cases == 3 * (sum(range(2, 12)) - empty)
 
 
-def no_field(spec, n):
+def no_field(*args):
     raise AssertionError("a field was built")
 
 
@@ -462,7 +465,8 @@ def test_norm_invariance_builds_no_field_when_decided_symbolically(monkeypatch):
 
 def test_norm_invariance_needs_two_samples_on_the_symbolic_path():
     spec = PRESETS["rd-n2p2"].with_q(9)  # 9 | f(n) for n = 4 mod 9
-    with pytest.raises(HypothesisError, match="^fewer than two usable samples for r=4$"):
+    no_witnesses = "^could not find 2 squarefree instances for residue 4$"
+    with pytest.raises(HypothesisError, match=no_witnesses):
         norm_invariance_check(spec, RayLabel(1, 0, 9), 4)
 
 
@@ -502,23 +506,30 @@ def test_period_limit_counts_the_primitive_period():
 
 
 def test_field_table_builds_each_n_once(monkeypatch):
-    built = Counter()
-    instantiate = family.instantiate
+    calls = Counter()
 
-    def counted(spec, n):
-        built[n] += 1
-        return instantiate(spec, n)
+    def counted(name, fn):
+        def wrapper(spec, n, *args):
+            calls[name, n] += 1
+            return fn(spec, n, *args)
+        return wrapper
 
-    monkeypatch.setattr(family, "instantiate", counted)
+    monkeypatch.setattr(family, "instantiate", counted("build", family.instantiate))
+    monkeypatch.setattr(family, "checked_terms", counted("check", family.checked_terms))
     table = FieldTable(PRESETS["rd-n2p2"].with_q(2), 0)
-    assert [inst.n for inst in table.first(2)] == [2, 6]  # f(4) = 18 is skipped
-    assert table.field(4) is None
-    assert table.first(1)[0] is table.field(2)
-    assert built == {2: 1, 4: 1, 6: 1}
-    # a refused field is refused again without a second build
-    built.clear()
+    assert table.first_ns(2) == [2, 6]  # n = 0 is below the range, f(4) = 18 is skipped
+    assert calls == {("check", 2): 1, ("check", 4): 1, ("check", 6): 1}  # no field built
+    assert table.field(0) is table.field(4) is None
+    assert table.field(2) is table.field(2) and table.field(6).n == 6
+    # the fields are built from the scan's checks, which are not repeated
+    assert calls == {("check", 2): 1, ("check", 4): 1, ("check", 6): 1,
+                     ("build", 2): 1, ("build", 6): 1}
+    # a refused n is refused again without a second check, and never built
+    calls.clear()
     table = FieldTable(FamilySpec("adv", (3, 0, 1), ((0, 2), (0, 1)), 2, (1, 100)), 0)
     for _ in range(2):
         with pytest.raises(HypothesisError, match="has radicand 6, expected f"):
             table.field(2)
-    assert built == {2: 1}
+    with pytest.raises(HypothesisError, match="has radicand 6, expected f"):
+        table.first_ns(1)  # the scan meets the refusal before a usable n
+    assert calls == {("check", 2): 1}
