@@ -19,7 +19,6 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .contfrac import NotReducedError
-from .exactmath import residue_zero
 from .family import (
     FamilySpec,
     HypothesisError,
@@ -332,7 +331,7 @@ def cmd_zeta(args) -> int:
             "C": lab.C,
             "D": lab.D,
             "value": partial_zeta0(ctx, lab),
-            "norm_mod_q": residue_zero(ctx.norm_of(lab), spec.q),
+            "norm_mod_q": ctx.norm_of(lab),
             "orbit": [[o.C, o.D] for o in ctx.orbit_of(lab)],
             "lambda": ctx.lam,
             "m": ctx.mcf.m,
@@ -342,9 +341,11 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_family(args) -> int:
-    """Closed form and oracle per (residue, label).  A refused residue is one
-    failure row for all its labels; the exit code is the gravest seen, 4 (an
-    oracle mismatch) over 3 (a refusal)."""
+    """Closed form and oracle per (residue, label).  A refusal, met by the
+    residue's context or by its oracle, is the same for every label of the
+    residue (a refused n, too few usable n), so it is one failure row for
+    the residue.  The exit code is the gravest seen, 4 (an oracle mismatch)
+    over 3 (a refusal)."""
     spec = family_from_args(args)
     ks = parse_k_range(args.k_range) if args.k_range is not None else range(0, 7)
     want = parse_label(args.label, spec.q) if args.label is not None else None
@@ -361,46 +362,30 @@ def cmd_family(args) -> int:
     for r in range(spec.q):
         try:
             rctx = ResidueContext(spec, r)
-            labels = f_delta(rctx)
+            for lab in f_delta(rctx):
+                if want is not None and lab != want:
+                    continue
+                qp = quasi_poly(spec, lab, r, rctx)
+                fit = fit_oracle(spec, lab, r, ks, rctx)
+                nform = k_to_n_form(qp)
+                k_coeffs = [qp.coeff(r, i) for i in range(spec.d + 1)]
+                oracle_ok = bool(fit.consistent and fit.coeffs == tuple(k_coeffs))
+                report["rows"].append({
+                    "r": r,
+                    "C": lab.C,
+                    "D": lab.D,
+                    "k_coeffs": k_coeffs,
+                    "n_coeffs": [nform.coeff(r, i) for i in range(spec.d + 1)],
+                    "denominator_bounds_ok": denom_bounds_ok(qp, r),
+                    "oracle_ok": oracle_ok,
+                    "used_ks": list(fit.used_ks),
+                    "skipped_ks": list(fit.skipped_ks),
+                })
+                if not oracle_ok:
+                    exit_code = EXIT_INTERNAL  # a mismatch outranks any refusal
         except HypothesisError as e:
             report["failures"].append({"r": r, "error": str(e)})
             exit_code = max(exit_code, EXIT_HYPOTHESIS)
-            continue
-        for lab in labels:
-            if want is not None and lab != want:
-                continue
-            try:
-                qp = quasi_poly(spec, lab, r, rctx)
-            except HypothesisError as e:
-                report["failures"].append(
-                    {"r": r, "C": lab.C, "D": lab.D, "error": str(e)}
-                )
-                exit_code = max(exit_code, EXIT_HYPOTHESIS)
-                continue
-            nform = k_to_n_form(qp)
-            row = {
-                "r": r,
-                "C": lab.C,
-                "D": lab.D,
-                "k_coeffs": [qp.coeff(r, i) for i in range(spec.d + 1)],
-                "n_coeffs": [nform.coeff(r, i) for i in range(spec.d + 1)],
-                "denominator_bounds_ok": denom_bounds_ok(qp, r),
-            }
-            try:
-                fit = fit_oracle(spec, lab, r, ks, rctx)
-                row["oracle_ok"] = bool(
-                    fit.consistent
-                    and fit.coeffs == tuple(row["k_coeffs"])
-                )
-                row["used_ks"] = list(fit.used_ks)
-                row["skipped_ks"] = list(fit.skipped_ks)
-                if not row["oracle_ok"]:
-                    exit_code = EXIT_INTERNAL  # a mismatch outranks any refusal
-            except HypothesisError as e:
-                row["oracle_ok"] = False
-                row["oracle_error"] = str(e)
-                exit_code = max(exit_code, EXIT_HYPOTHESIS)
-            report["rows"].append(row)
     emit(report, args)
     return exit_code
 

@@ -7,9 +7,11 @@ floating point.
 
 A minus CF is held run-length encoded, as runs (b, k) of k equal terms: in a
 family the period is a few terms > 2 separated by runs of 2s whose length
-grows with n, while the number of runs does not.  `minus_cf` crosses a whole
-run of 2s in one step, so an expansion costs O(runs), not O(m); the m-term
-tuple is built only where a caller asks for `MinusCF.terms`.
+grows with n, while the number of runs does not.  A field's minus CF is read
+off its plus period by the index rule `plus_to_minus` in O(s), not O(m); the
+m-term tuple is built only where a caller asks for `MinusCF.terms`.  The
+ceiling algorithm `minus_cf` runs one term at a time and is the oracle the
+index rule is checked against.
 """
 
 from __future__ import annotations
@@ -132,19 +134,14 @@ def _surd_state(x: QuadElem) -> tuple[int, int, int]:
 
 
 def minus_cf(x: QuadElem, max_period: int = MAX_PERIOD) -> MinusCF:
-    """Periodic minus CF of x computed by the ceiling algorithm, run by run.
+    """Periodic minus CF of x by the ceiling algorithm, one term at a time:
+    the oracle that `plus_to_minus` is checked against.
 
     Requires x > 1 and 0 < x' < 1 (reduced for the minus expansion).  Runs
     on the integer state x = (P + sqrt(D))/Q, for which Q > 0 and
     Q | D - P^2 hold throughout: each step is b = ceil(x) =
-    (P + isqrt(D))//Q + 1, P <- bQ - P, Q <- (P^2 - D)/Q.
-
-    A run of 2s is crossed in one step.  While b = 2, s = 1/(x - 1) =
-    (Q - P + sqrt(D))/R with R = (D - (P - Q)^2)/Q, and each 2 lowers s by
-    1, so the run has k = floor(s) terms and ends at x = 1 + 1/(s - k).
-    The period is found by exact repetition of (P, Q); a start inside a run
-    (x < 2) is found as one of that run's values of s.  `max_period` bounds
-    the number of terms, not of runs, and is checked before they are stored.
+    (P + isqrt(D))//Q + 1, P <- bQ - P, Q <- (P^2 - D)/Q.  The period is
+    found by exact repetition of (P, Q); `max_period` bounds its terms.
     """
     if x.is_rational:
         raise NotReducedError("rational numbers have no periodic minus expansion")
@@ -154,33 +151,15 @@ def minus_cf(x: QuadElem, max_period: int = MAX_PERIOD) -> MinusCF:
     if not (Q > 0 and r >= Q - P and P > r and r >= P - Q):
         raise NotReducedError("x must satisfy x > 1 and 0 < x' < 1")
     P0, Q0 = P, Q
-    R0 = (D - (P - Q) ** 2) // Q  # the start's s is (Q0 - P0 + sqrt(D))/R0
     runs: list[Run] = []
-    m = 0
-    while True:
-        closed = False
-        if P + r < 2 * Q:  # x < 2: a run of 2s, from s = (Ps + sqrt(D))/R
-            R = (D - (P - Q) ** 2) // Q
-            Ps = Q - P
-            b, k = 2, (Ps + r) // R
-            j, rest = divmod(Ps - (Q0 - P0), R)
-            if R == R0 and rest == 0 and 0 < j < k:
-                closed, k = True, j  # the start lies inside this run
-            else:
-                Ps -= k * R
-                Q = (D - Ps * Ps) // R
-                P = Q - Ps
-        else:
-            b, k = (P + r) // Q + 1, 1
-            P = b * Q - P
-            Q = (P * P - D) // Q
-        m += k
-        closed = closed or (P == P0 and Q == Q0)
-        if m > max_period:
-            raise LimitError(f"minus CF period not found within {max_period} terms")
-        _push(runs, b, k)
-        if closed:
+    for _ in range(max_period):
+        b = (P + r) // Q + 1
+        P = b * Q - P
+        Q = (P * P - D) // Q
+        _push(runs, b, 1)
+        if P == P0 and Q == Q0:
             return MinusCF(tuple(runs))
+    raise LimitError(f"minus CF period not found within {max_period} terms")
 
 
 def fixed_point(terms: tuple[int, ...]) -> tuple[int, int, int]:
@@ -242,7 +221,7 @@ def plus_to_minus(cf: PeriodicCF) -> MinusCF:
     i = S_j, b_i = 2 otherwise, with period m = S_{s/2} (even s) or S_s (odd s).
     So each pair (a_{2j}, a_{2j+1}) gives the runs (a_{2j} + 2, 1) and
     (2, a_{2j+1} - 1): O(s) work for any m.  On a primitive period it
-    equals `minus_cf(cf_value(cf) + 1)`, the direct ceiling algorithm.
+    equals `minus_cf(cf_value(cf) + 1)`, the ceiling algorithm.
     """
     s = cf.s
     return MinusCF.from_runs(

@@ -40,7 +40,6 @@ from math import comb
 from .contfrac import (
     MAX_PERIOD,
     PeriodicCF,
-    cf_value,
     fixed_point,
     plus_to_minus,
     primitive_period,
@@ -48,7 +47,6 @@ from .contfrac import (
 )
 from .exactmath import LimitError, Record, residue_one, term12
 from .quadfield import (
-    ModuleBasis,
     is_perfect_square,
     is_squarefree,
     squarefree_part,
@@ -263,8 +261,7 @@ def instantiate(spec: FamilySpec, n: int, checked=None) -> FieldInstance:
     """
     fn, terms = checked or checked_terms(spec, n)
     cf = PeriodicCF(terms)
-    delta = cf_value(cf, fn) + 1  # f(n) is certified as the radicand above
-    return FieldInstance(spec, n, cf, ConeContext(ModuleBasis(delta), spec.q))
+    return FieldInstance(spec, n, cf, ConeContext(cf, fn, spec.q))  # fn: the certified radicand
 
 
 SCAN = 128  # a residue's n = qk + r are scanned for usable fields over k < SCAN

@@ -140,8 +140,8 @@ class CharSpanValue:
 
 
 def ray_char_value(chi: DirichletChar, ideal_norm: int) -> int | None:
-    """Symbol index for chi(N(ideal)): the residue of the norm mod q, or
-    None for the zero symbol (norm not coprime to q)."""
+    """Symbol index for chi(N(ideal)), from the norm or its residue mod q:
+    that residue, or None for the zero symbol (norm not coprime to q)."""
     if ideal_norm <= 0:
         raise ValueError("ideal norm must be positive")
     a = residue_zero(ideal_norm, chi.modulus)
@@ -166,7 +166,7 @@ def hecke_L0(ctx: ConeContext, chi: DirichletChar) -> CharSpanValue:
         raise CharacterError("character modulus must equal q")
     total: dict[int, Fraction] = {}
     for rep in orbit_representatives(ctx):
-        sym = ray_char_value(chi, ctx.label_norm(rep))
+        sym = ray_char_value(chi, ctx.norm_of(rep))
         if sym is None:
             continue  # cannot happen for labels in F_delta
         total[sym] = total.get(sym, Fraction(0)) + partial_zeta0(ctx, rep)

@@ -2,17 +2,19 @@
 the unit action and its orbits, boundary lattice points, the Yamamoto
 fractional-coordinate recursion, and exact partial zeta values at s = 0.
 
-Everything a context needs is built run by run.  A minus CF is a few
-terms > 2 separated by runs of 2s, and `contfrac.minus_cf` returns it as
-runs (b, k).  From the runs a context takes the unit's integer matrix
-(`quadfield.unit_matrix`: a run of 2s is one arithmetic step), its series
+Everything a context needs is built run by run from the field's plus CF.
+A minus CF is a few terms > 2 separated by runs of 2s; a context reads it
+off the plus period by the index rule `contfrac.plus_to_minus`, as runs
+(b, k), in O(s), as `family.ResidueContext` reads its residue minus CF, and
+takes tr delta and N delta on integers from the period's `fixed_point`.
+From the runs it takes the unit's integer matrix (`quadfield.unit_matrix`:
+a run of 2s is one arithmetic step), checked against tr and N, its series
 steps (`series_steps`) and the lambda*m cap: O(runs), not O(m).  Lambda and
-every label norm (`norm_form`) are read off the matrix on integers, as
-`family.ResidueContext` reads them mod q; only the unit action `eps_act`
-runs on `Fraction`s.  Inside a run of 2s the Yamamoto numerators form an
-arithmetic progression mod q, so `progression_sum` adds a run of any length
-in O(q); `term12` remains the per-term kernel.  A context also keeps each
-label's norm and orbit once computed (`norm_of`, `orbit_of`).
+every label norm mod q (`norm_form`) are read on integers; only the unit
+action `eps_act` runs on `Fraction`s.  Inside a run of 2s the Yamamoto
+numerators form an arithmetic progression mod q, so `progression_sum` adds
+a run of any length in O(q); `term12` remains the per-term kernel.  A
+context keeps each label's orbit once computed (`orbit_of`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,15 @@ import os
 from fractions import Fraction
 from math import gcd
 
-from .contfrac import MinusCF, Run, minus_cf
+from .contfrac import (
+    MinusCF,
+    PeriodicCF,
+    Run,
+    cf_value,
+    fixed_point,
+    plus_to_minus,
+    primitive_period,
+)
 from .exactmath import LimitError, Record, frac_unit, residue_one, residue_zero, term12
 from .quadfield import (
     ModuleBasis,
@@ -63,22 +73,26 @@ class RayLabel(Record):
 
 def norm_form(C: int, D: int, tr: int, nm: int) -> int:
     """N(C + D*delta) = C^2 + C*D*tr + D^2*nm, for delta of trace tr and
-    norm nm: over Z on a `ConeContext`, mod q on a `family.ResidueContext`."""
+    norm nm; positive for a label, as C + D*delta and its conjugate are."""
     return C * C + C * D * tr + D * D * nm
 
 
 class ConeContext:
-    """Everything needed to evaluate partial zeta values on one field:
-    built by `__post_init__`, it holds the minus CF `mcf`, its series
-    `steps`, the unit `eps`, its index `lam` and delta's `trace_norm`.
+    """Everything needed to evaluate partial zeta values on one field, given
+    by the purely periodic plus CF `cf` of delta - 1 and its radicand: built
+    by `__post_init__` as `family.ResidueContext` is built, it holds the
+    minus CF `mcf` (`plus_to_minus` of the primitive period), its series
+    `steps`, delta's `trace_norm` (from `fixed_point`), the unit `eps` and
+    its index `lam`.  The basis delta and `eps` serve `act` and the oracles.
 
     The integral ideal b with b^{-1} = [1, delta] is taken to be O_K.
     """
 
-    __slots__ = ("basis", "q", "mcf", "steps", "eps", "lam", "trace_norm", "_norms", "_orbits")
+    __slots__ = ("cf", "basis", "q", "mcf", "steps", "eps", "lam", "trace_norm", "_orbits")
 
-    def __init__(self, basis: ModuleBasis, q: int):
-        self.basis, self.q, self._norms, self._orbits = basis, q, {}, {}
+    def __init__(self, cf: PeriodicCF, radicand: int, q: int):
+        self.cf, self.q, self._orbits = cf, q, {}
+        self.basis = ModuleBasis(cf_value(cf, radicand) + 1)
         self.__post_init__()
 
     def __post_init__(self):
@@ -89,32 +103,31 @@ class ConeContext:
             raise LimitError(f"RAYZETA_MAX_TERMS={raw!r} is not an integer") from None
         if self.q < 2:
             raise LabelError("q must be >= 2")
-        self.mcf = minus_cf(self.basis.delta)
-        matrix = unit_matrix(self.mcf.runs)
-        self.eps = fundamental_unit_totally_positive(self.basis, matrix)
-        self.lam = unit_index_lambda(matrix, self.q)
-        # eps*delta = b + d*delta with eps = a + c*delta and delta^2 = tr*delta - nm
-        (a, b), (c, d) = matrix
-        (tr, bad_tr), (nm, bad_nm) = divmod(d - a, c), divmod(-b, c)
+        cf = PeriodicCF(primitive_period(self.cf.terms))
+        # delta = x + 1 for x = [[cf]], the root of A x^2 + B x + C = 0
+        A, B, C = fixed_point(cf.terms)
+        (tr, bad_tr), (nm, bad_nm) = divmod(2 * A - B, A), divmod(A - B + C, A)
         if bad_tr or bad_nm:
             raise LabelError("(C+D*delta)*b is not integral; basis data malformed")
         self.trace_norm = tr, nm
+        self.mcf = plus_to_minus(cf)
+        matrix = unit_matrix(self.mcf.runs)
+        self.eps = fundamental_unit_totally_positive(self.basis, matrix)
+        # eps*delta = b + d*delta with eps = a + c*delta and delta^2 = tr*delta - nm
+        (a, b), (c, d) = matrix
+        if d - a != tr * c or -b != nm * c:
+            raise InternalCheckError("the unit's matrix disagrees with delta's trace and norm")
+        self.lam = unit_index_lambda(matrix, self.q)
         if self.lam * self.mcf.m > max_terms:
             raise LimitError(
                 f"lambda*m = {self.lam * self.mcf.m} exceeds cap {max_terms}"
             )
         self.steps = series_steps(self.mcf.runs)
 
-    def label_norm(self, label: RayLabel) -> int:
-        """Norm of the integral ideal (C + D*delta)*b, a positive integer."""
-        C, D, _ = label
-        return abs(norm_form(C, D, *self.trace_norm))
-
     def norm_of(self, label: RayLabel) -> int:
-        """`label_norm`, computed once per label on this context."""
-        if label not in self._norms:
-            self._norms[label] = self.label_norm(label)
-        return self._norms[label]
+        """The norm of the integral ideal (C + D*delta)*b mod q."""
+        C, D, _ = label
+        return norm_form(C, D, *self.trace_norm) % self.q
 
     def orbit_of(self, label: RayLabel) -> list[RayLabel]:
         """`orbit`, computed once per label on this context."""

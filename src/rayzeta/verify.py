@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .cli import EXIT_HYPOTHESIS, main
+from .contfrac import minus_cf
 from .exactmath import residue_zero
 from .family import (
     PRESETS,
@@ -76,7 +77,9 @@ def _fields(spec: FamilySpec, n_max: int) -> list[FieldInstance]:
 
 
 def check_structure(name: str, n_max: int) -> int:
-    """Plus-CF terms and fundamental unit equal the preset's closed forms."""
+    """Plus-CF terms and fundamental unit equal the preset's closed forms,
+    and each field's minus CF, from the index rule, equals the ceiling
+    algorithm `minus_cf` run on its delta."""
     spec = PRESETS[name]
     checked = 0
     for inst in _fields(spec, n_max):
@@ -86,6 +89,8 @@ def check_structure(name: str, n_max: int) -> int:
             raise Mismatch(f"CF terms wrong at n={n}")
         if inst.ctx.eps != inst.ctx.basis.delta.field.elem(a, b):
             raise Mismatch(f"unit wrong at n={n}")
+        if inst.ctx.mcf != minus_cf(inst.ctx.basis.delta):
+            raise Mismatch(f"minus CF wrong at n={n}")
         checked += 1
     return checked
 

@@ -549,31 +549,24 @@ def test_verify_q_over_all_criteria(capsys):
     assert all(row["passed"] for row in rows)
 
 
-def test_zeta_computes_each_norm_and_orbit_once(capsys, monkeypatch):
+def test_zeta_computes_each_orbit_once(capsys, monkeypatch):
     from collections import Counter
 
     from rayzeta import shintani
 
     calls = Counter()
-    label_norm, orbit = shintani.ConeContext.label_norm, shintani.orbit
-
-    def counted_norm(ctx, label):
-        calls["norm", label.C, label.D] += 1
-        return label_norm(ctx, label)
+    orbit = shintani.orbit
 
     def counted_orbit(label, ctx):
-        calls["orbit", label.C, label.D] += 1
+        calls[label.C, label.D] += 1
         return orbit(label, ctx)
 
-    monkeypatch.setattr(shintani.ConeContext, "label_norm", counted_norm)
     monkeypatch.setattr(shintani, "orbit", counted_orbit)
     code, out = run(capsys, ["zeta", "--preset", "quartic-16n4", "--q", "5", "--n", "3"])
     assert code == EXIT_OK
     rows = json.loads(out)["rows"]
     assert len(rows) == 20 and max(calls.values()) == 1
-    assert {(C, D) for kind, C, D in calls if kind == "orbit"} == {
-        (row["C"], row["D"]) for row in rows}
-    assert sum(kind == "norm" for kind, _, _ in calls) == 24  # every (C, D) != (0, 0)
+    assert set(calls) == {(row["C"], row["D"]) for row in rows}
 
 
 def test_lambda_and_label_norms_take_the_integer_route(capsys, monkeypatch):
@@ -609,6 +602,51 @@ def test_lambda_and_label_norms_take_the_integer_route(capsys, monkeypatch):
     assert calls["plus_to_minus"] == calls["residue_context"] == 5
     assert calls["cone_context"] > 0
     assert (calls["mult_matrix"], calls["norm"], calls["inverse"]) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--preset", "rd-n2p2", "--q", "5", "--n", "45"],
+    ["zeta", "--preset", "quartic-16n4", "--q", "3", "--n", "7"],
+    ["family", "--preset", "rd-n2p2", "--q", "3"],
+    ["family", "--preset", "quartic-16n4", "--q", "3"],
+    ["lfunc", "--preset", "rd-n2p2", "--q", "5", "--char", "5:4:2=1"],
+    ["lfunc", "--preset", "quartic-16n4", "--q", "3", "--char", "3:2:2=1"],
+], ids=lambda argv: "-".join(argv[:3:2]))
+def test_the_ceiling_algorithm_is_only_an_oracle(capsys, monkeypatch, argv):
+    # every field's minus CF comes from the index rule: no command calls the
+    # ceiling algorithm through any binding, as bench/spans.py patches them,
+    # while verify's structure check still does
+    from collections import Counter
+
+    from rayzeta import contfrac
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for k, m in sys.modules.items() if k.startswith("rayzeta")]
+    for name in ("minus_cf", "_surd_state"):
+        original = getattr(contfrac, name)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    code, _ = run(capsys, argv)
+    assert code == EXIT_OK and not calls
+    assert verify.check_structure("rd-n2p2", 3) == 3
+    assert calls == {"minus_cf": 3, "_surd_state": 3}
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_polys, st.lists(small_polys, min_size=1, max_size=3), st.integers(2, 7),
+       st.integers(-3, 40))
+def test_zeta_on_random_inline_families_exits_with_a_code(f_poly, a_polys, q, n):
+    argv = ["zeta", "--f-poly", f_poly, "--a-polys", ";".join(a_polys), "--q", str(q),
+            "--n", str(n), "--out", os.devnull]
+    assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_INTERNAL)
 
 
 @pytest.mark.parametrize("argv", [
@@ -662,23 +700,26 @@ def test_each_n_is_decided_once_per_command(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("faults", [("mismatch", "refusal"), ("refusal", "mismatch")])
 def test_an_oracle_mismatch_outranks_a_refusal(capsys, monkeypatch, faults):
     # exit 4 (internal verification failure) is kept over exit 3 (hypothesis
-    # violation), whichever of the two rows comes first
-    fit_oracle, order = cli.fit_oracle, iter(faults)
+    # violation), whichever of r = 0 and r = 1 has which fault: the refused
+    # residue is one failure row, the mismatched one rows with oracle_ok false
+    fit_oracle = cli.fit_oracle
 
-    def faulty(*args):
-        fault = next(order, None)  # the first two rows, then the oracle itself
+    def faulty(spec, label, r, *args):
+        fault = faults[r] if r < len(faults) else None
         if fault == "refusal":
             raise family.HypothesisError("refused")
-        fit = fit_oracle(*args)
+        fit = fit_oracle(spec, label, r, *args)
         return family.FitResult(fit.coeffs, fault is None, fit.used_ks, fit.skipped_ks)
 
     monkeypatch.setattr(cli, "fit_oracle", faulty)
     code, out = run(capsys, ["family", "--preset", "rd-n2p2", "--q", "3"])
     assert code == EXIT_INTERNAL
-    rows = json.loads(out)["rows"]
-    assert [row["oracle_ok"] for row in rows[:3]] == [False, False, True]
-    assert [row.get("oracle_error") for row in rows[:2]] == [
-        "refused" if fault == "refusal" else None for fault in faults]
+    report = json.loads(out)
+    refused, mismatched = faults.index("refusal"), faults.index("mismatch")
+    assert report["failures"] == [{"r": refused, "error": "refused"}]
+    oracle_ok = {r: {row["oracle_ok"] for row in report["rows"] if row["r"] == r}
+                 for r in range(3)}
+    assert oracle_ok == {refused: set(), mismatched: {False}, 2: {True}}
 
 
 def test_a_residue_is_refused_once_for_all_its_labels(capsys):
@@ -692,6 +733,30 @@ def test_a_residue_is_refused_once_for_all_its_labels(capsys):
     assert report["failures"] == [
         {"r": r, "error": f"Q(delta({n})) has radicand {d}, expected f({n}) = 2"}
         for r, n, d in ((0, 3, 17), (1, 1, 5), (2, 2, 10))]
+
+
+def test_an_oracle_refusal_is_one_failure_row_per_residue(capsys):
+    # r = 0 has its two witnesses, n = 0 and 6, but its oracle meets n = 12,
+    # whose radicand is not f = 2: one failure row, not one row per label
+    code, out = run(capsys, ["family", "--f-poly", "2", "--a-polys", "2,2", "--q", "6"])
+    assert code == EXIT_HYPOTHESIS
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "f3b664626bf20ab3f60b38bc0767ca6899652dcbcb902acee4464d938f5a7f3d")
+    report = json.loads(out)
+    assert report["rows"] == []
+    assert report["failures"] == [
+        {"r": r, "error": f"Q(delta({n})) has radicand {(n + 1) ** 2 + 1}, expected f({n}) = 2"}
+        for r, n in enumerate((12, 1, 2, 3, 4, 5))]
+
+
+def test_too_few_oracle_samples_is_one_failure_row_per_residue(capsys):
+    # k = 0..1 holds fewer than d + 2 = 3 usable k in every residue
+    code, out = run(capsys, ["family", "--preset", "rd-n2p2", "--q", "3", "--k-range", "0:1"])
+    assert code == EXIT_HYPOTHESIS
+    report = json.loads(out)
+    assert report["rows"] == []
+    assert report["failures"] == [
+        {"r": r, "error": "need at least 3 squarefree samples, got 1"} for r in range(3)]
 
 
 def test_no_field_outlives_its_command(capsys, monkeypatch):

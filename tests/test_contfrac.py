@@ -1,7 +1,6 @@
 """Tests for plus and minus continued fractions and their conversion."""
 
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +9,6 @@ from rayzeta.contfrac import (
     MinusCF,
     NotReducedError,
     PeriodicCF,
-    _surd_state,
     cf_value,
     minus_cf,
     pair_count,
@@ -20,7 +18,7 @@ from rayzeta.contfrac import (
     s_indices,
 )
 from rayzeta.exactmath import LimitError
-from rayzeta.family import PRESETS, poly_eval
+from rayzeta.family import PRESETS, checked_terms, poly_eval
 from rayzeta.quadfield import (
     ModuleBasis,
     QuadField,
@@ -45,19 +43,6 @@ def ceiling_expansion(x, max_period=10**4):
 
 def run_length(terms):
     return MinusCF.from_runs((b, 1) for b in terms)
-
-
-def per_term_minus_cf(x):
-    """Oracle: the integer ceiling algorithm one term at a time."""
-    P, D, Q = _surd_state(x)
-    r, P0, Q0, terms = isqrt(D), P, Q, []
-    while True:
-        b = (P + r) // Q + 1
-        terms.append(b)
-        P = b * Q - P
-        Q = (P * P - D) // Q
-        if P == P0 and Q == Q0:
-            return tuple(terms)
 
 
 def per_term_unit(basis, terms):
@@ -248,8 +233,9 @@ def test_run_length_minus_cf_equals_ceiling_oracle(period):
 def test_unit_from_runs_equals_per_term_recurrence(period):
     x = minus_cf_value(period)
     basis = ModuleBasis(x)
-    want = per_term_unit(basis, per_term_minus_cf(x))
-    assert fundamental_unit_totally_positive(basis, unit_matrix(minus_cf(x).runs)) == want
+    mcf = minus_cf(x)
+    want = per_term_unit(basis, mcf.terms)
+    assert fundamental_unit_totally_positive(basis, unit_matrix(mcf.runs)) == want
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -258,12 +244,11 @@ def test_run_length_minus_cf_and_unit_on_presets(name):
     for n in range(max(spec.n_range[0], 1), 401):
         cf = PeriodicCF(tuple(poly_eval(a, n) for a in spec.a_polys))
         delta = cf_value(cf) + 1
-        mcf = minus_cf(delta)
-        terms = per_term_minus_cf(delta)
-        assert mcf.terms == terms and mcf == plus_to_minus(cf), n
+        mcf = plus_to_minus(cf)
+        assert mcf == minus_cf(delta), n
         basis = ModuleBasis(delta)
         eps = fundamental_unit_totally_positive(basis, unit_matrix(mcf.runs))
-        assert eps == per_term_unit(basis, terms), n
+        assert eps == per_term_unit(basis, mcf.terms), n
 
 
 def test_period_limit_counts_terms_not_runs():
@@ -275,14 +260,13 @@ def test_period_limit_counts_terms_not_runs():
     assert minus_cf(y, max_period=10).runs == ((2, 4), (5, 1), (2, 5))
     with pytest.raises(LimitError):
         minus_cf(y, max_period=9)
-    # rd-n2p2 at n = 10^12, delta = n + 1 + sqrt(n^2 + 2): m = n, refused
-    # after one jump of the run of 2s
+    # rd-n2p2 at n = 10^12: the index rule gives m = n in two runs, and the
+    # family refuses that n for its period before anything of length m
     n = 10**12
-    delta = QuadField(n * n + 2).elem(n + 1, 1)
-    with pytest.raises(LimitError):
-        minus_cf(delta)
-    assert minus_cf(delta, max_period=n) == plus_to_minus(PeriodicCF((2 * n, n)))
-    assert minus_cf(delta, max_period=n).runs == ((2 * n + 2, 1), (2, n - 1))
+    mcf = plus_to_minus(PeriodicCF((2 * n, n)))
+    assert (mcf.runs, mcf.m) == (((2 * n + 2, 1), (2, n - 1)), n)
+    with pytest.raises(LimitError, match="within 1000000 terms"):
+        checked_terms(PRESETS["rd-n2p2"], n)
 
 
 @settings(max_examples=300, deadline=None)

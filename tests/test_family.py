@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rayzeta import family
 from rayzeta.cli import main
@@ -41,6 +42,7 @@ from rayzeta.family import (
 from rayzeta.quadfield import mult_matrix, norm, trace, unit_index_lambda
 from rayzeta.shintani import (
     RayLabel,
+    eps_act,
     f_delta,
     orbit,
     partial_zeta0,
@@ -403,17 +405,65 @@ def test_residue_context_equals_instance_data(name):
             for inst in first_instances(spec, r, 3):
                 ctx = inst.ctx
                 assert rctx.lam == ctx.lam == unit_index_lambda(matrix_mod(ctx, q), q)
-                assert [ctx.label_norm(lab) for lab in labels] == [
-                    abs(norm(lab.C + lab.D * ctx.basis.delta)) for lab in labels]
+                assert [ctx.norm_of(lab) for lab in labels] == [
+                    norm(lab.C + lab.D * ctx.basis.delta) % q for lab in labels]
                 assert rctx.matrix == matrix_mod(ctx, q)
                 assert [rctx.norm_of(lab) for lab in labels] == [
-                    ctx.norm_of(lab) % q for lab in labels]
+                    ctx.norm_of(lab) for lab in labels]
                 assert fd == f_delta(ctx)
                 assert all(orbits[lab] == ctx.orbit_of(lab) for lab in fd)
                 cases += 1
     # no field at q = 9: 9 | n^2 + 2 for n = 4, 5 and 9 | (2n+1)^4 + 2(2n+1) for n = 4
     assert empty == {"rd-n2p2": 2, "quartic-16n4": 1}[name]
     assert cases == 3 * (sum(range(2, 12)) - empty)
+
+
+@st.composite
+def decided_families(draw):
+    """Inline families with s <= 3 and each a_i of degree <= 2, coefficients
+    0..3, q = 2..7, whose tr and N of delta(n) lie in Z[n]; f = tr^2 - 4N is
+    the discriminant of delta(n), so every n where f(n) is squarefree and the
+    terms are >= 1 is usable."""
+    polys = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
+    a_polys = tuple(draw(st.lists(polys, min_size=1, max_size=3)))
+    q = draw(st.integers(2, 7))
+    decided = delta_trace_norm(FamilySpec("random", (2,), a_polys, q))
+    assume(decided is not None)
+    tr, nm = decided
+    return FamilySpec("random", poly_add(poly_mul(tr, tr), nm, -4), a_polys, q, (0, 31))
+
+
+@settings(max_examples=40, deadline=None)
+@given(decided_families())
+# at n = 0 the terms (1, 1, 1) repeat the shorter period (1,)
+@example(FamilySpec("random", (5, 8, 4), ((1, 2), (1,), (1,)), 3, (0, 31)))
+def test_contexts_equal_the_fraction_route_on_random_families(spec):
+    # on every usable n <= 30, the cone context's minus CF (index rule),
+    # lambda, tr and N of delta, label norms mod q and orbits equal the
+    # ceiling algorithm and the Fraction field arithmetic on delta and eps
+    q = spec.q
+    labels = [RayLabel(C, D, q) for C in range(q) for D in range(q) if C or D]
+    tables = [FieldTable(spec, r) for r in range(q)]
+    for n in range(31):
+        try:
+            inst = tables[n % q].field(n)
+        except HypothesisError:
+            continue
+        if inst is None:
+            continue
+        ctx = inst.ctx
+        delta, eps, basis = ctx.basis.delta, ctx.eps, ctx.basis
+        lam = unit_index_lambda(tuple(tuple(map(int, row)) for row in mult_matrix(eps, basis)), q)
+        image = {lab: eps_act(eps, lab, basis) for lab in f_delta(ctx)}
+        assert ctx.mcf == minus_cf(delta), n
+        assert (ctx.lam, ctx.trace_norm) == (lam, (trace(delta), norm(delta))), n
+        assert [ctx.norm_of(lab) for lab in labels] == [
+            norm(lab.C + lab.D * delta) % q for lab in labels], n
+        for lab in image:
+            members = [lab]
+            while image[members[-1]] != lab:
+                members.append(image[members[-1]])
+            assert ctx.orbit_of(lab) == members, n
 
 
 def no_field(*args):
@@ -435,7 +485,7 @@ def test_residue_context_of_half_integral_beta_is_symbolic(monkeypatch):
             ctx = inst.ctx
             assert (rctx.lam, rctx.matrix) == (ctx.lam, matrix_mod(ctx, 3))
             assert [rctx.norm_of(lab) for lab in labels] == [
-                ctx.norm_of(lab) % 3 for lab in labels]
+                ctx.norm_of(lab) for lab in labels]
             assert f_delta(rctx) == f_delta(ctx)
             for lab in f_delta(rctx):
                 assert orbit(lab, rctx) == ctx.orbit_of(lab)

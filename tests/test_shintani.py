@@ -6,12 +6,14 @@ from itertools import groupby
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rayzeta.contfrac import MinusCF, PeriodicCF, plus_to_minus
+from rayzeta.contfrac import MinusCF, PeriodicCF, cf_value, plus_to_minus
 from rayzeta.exactmath import bernoulli1, bernoulli2, frac_unit, residue_one, term12
 from rayzeta.family import PRESETS, NonSquarefreeSkip, get_preset, instantiate, poly_eval
-from rayzeta.quadfield import ModuleBasis, QuadField, coords_in_basis
+from rayzeta import shintani
+from rayzeta.quadfield import QuadField, coords_in_basis
 from rayzeta.shintani import (
     ConeContext,
+    InternalCheckError,
     LabelError,
     RayLabel,
     boundary_points,
@@ -29,9 +31,8 @@ from rayzeta.shintani import (
 
 
 def anchor_ctx(q=2):
-    """delta = 2 + sqrt(3): the smallest family member (n = 1)."""
-    K = QuadField(3)
-    return ConeContext(ModuleBasis(K.elem(2, 1)), q)
+    """delta = 1 + [[2, 1]] = 2 + sqrt(3): the smallest family member (n = 1)."""
+    return ConeContext(PeriodicCF((2, 1)), 3, q)
 
 
 def test_label_validation():
@@ -56,7 +57,7 @@ def test_f_delta_is_lexicographic_and_coprime():
     assert labels == sorted(labels, key=lambda lab: (lab.C, lab.D))
     from math import gcd
     for lab in labels:
-        assert gcd(ctx.label_norm(lab), 3) == 1
+        assert gcd(ctx.norm_of(lab), 3) == 1
 
 
 def test_eps_act_preserves_f_delta():
@@ -161,19 +162,27 @@ def test_partial_zeta_rejects_labels_outside_f_delta():
 
 
 def test_max_terms_cap(monkeypatch):
-    K = QuadField(3)
     monkeypatch.setenv("RAYZETA_MAX_TERMS", "1")
     with pytest.raises(RuntimeError):
-        ConeContext(ModuleBasis(K.elem(2, 1)), 2)
+        anchor_ctx()
 
 
 def test_context_refuses_a_delta_that_is_not_integral():
-    # delta = (3 + sqrt(3))/2 is reduced, with trace 3 but norm 3/2: its
-    # unit's matrix gives no integral trace and norm, so no label norm is
-    # an ideal norm
-    delta = QuadField(3).elem(Fraction(3, 2), Fraction(1, 2))
+    # delta = 1 + [[1, 2]] = (3 + sqrt(3))/2 is reduced, with trace 3 but
+    # norm 3/2, so no label norm is an ideal norm
+    cf = PeriodicCF((1, 2))
+    assert cf_value(cf, 3) + 1 == QuadField(3).elem(Fraction(3, 2), Fraction(1, 2))
     with pytest.raises(LabelError, match="^\\(C\\+D\\*delta\\)\\*b is not integral"):
-        ConeContext(ModuleBasis(delta), 2)
+        ConeContext(cf, 3, 2)
+
+
+def test_context_checks_the_unit_matrix_against_trace_and_norm(monkeypatch):
+    # for delta = 2 + sqrt(3) (tr 4, N 1) the unit's matrix is ((0, -1), (1, 4));
+    # ((2, 1), (1, 1)) is a unit's matrix too, but d - a = -1 is not tr*c = 4
+    assert anchor_ctx().trace_norm == (4, 1)
+    monkeypatch.setattr(shintani, "unit_matrix", lambda runs: ((2, 1), (1, 1)))
+    with pytest.raises(InternalCheckError, match="disagrees with delta's trace and norm"):
+        anchor_ctx()
 
 
 def yamamoto_single_sum(ctx, label):
