@@ -126,16 +126,34 @@ def parse_char(text: str, q: int) -> DirichletChar:
 # Report formats; the first is the default.
 FORMATS = ("json", "csv")
 
-# Config keys and their JSON types, the same as the matching flags take.
-CONFIG_KEYS = {
-    "preset": str, "f_poly": str, "a_polys": str, "q": int, "n": int,
-    "k_range": str, "label": str, "char": str, "out": str, "format": str,
-    "criterion": str, "n_max": int,
-}
+ALL = ("zeta", "family", "lfunc", "verify")
+FAMILY = ("zeta", "family", "lfunc")
+
+# Every option, once: flag, type (int, str or the tuple of its choices), help,
+# and the subcommands that read it.  A subcommand takes exactly these flags,
+# and every one but --config is also its config key (the flag's argparse
+# dest), of the JSON type int or str.  No option has an argparse default, so
+# a config document's value applies where the flag is absent.
+OPTIONS = (
+    ("--config", str, "JSON config document; flags override it", ALL),
+    ("--preset", str, "named family (rd-n2p2, quartic-16n4)", FAMILY),
+    ("--f-poly", str, "radicand polynomial, ascending coefficients: '2,0,1'", FAMILY),
+    ("--a-polys", str, "CF term polynomials, ';'-separated: '0,2;0,1'", FAMILY),
+    ("--q", int, "ray modulus (default 2; verify: each criterion's own)", ALL),
+    ("--label", str, "restrict to one label 'C,D'", ("zeta", "family")),
+    ("--out", str, "write the report to this file", ALL),
+    ("--format", FORMATS, "report format (default json)", ALL),
+    ("--n", int, "family parameter n", ("zeta",)),
+    ("--k-range", str, "oracle sample range 'lo:hi'", ("family",)),
+    ("--char", str, "character 'modulus:order:g=e[,g=e...]' or 'trivial'", ("lfunc",)),
+    ("--criterion", str, "comma-separated subset, e.g. 'A5'", ("verify",)),
+    ("--n-max", int, "extend structure checks up to this n", ("verify",)),
+)
 
 
-def load_config(path: str) -> dict:
-    """Read the JSON config document; unknown keys are rejected."""
+def load_config(path: str, command: str) -> dict:
+    """Read the JSON config document; a key that `command` does not read
+    (its options in `OPTIONS`, but --config) is rejected."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -143,27 +161,31 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(doc) - CONFIG_KEYS.keys()
+    keys = {flag[2:].replace("-", "_"): kind for flag, kind, _, commands in OPTIONS
+            if command in commands and flag != "--config"}
+    unknown = set(doc) - keys.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in doc.items():
-        if type(value) is not CONFIG_KEYS[key]:  # exact type: rejects bool for int
+        kind = keys[key]
+        json_type = int if kind is int else str
+        if type(value) is not json_type:  # exact type: rejects bool for int
             raise ConfigError(
-                f"config key {key!r} must be {CONFIG_KEYS[key].__name__}, "
+                f"config key {key!r} must be {json_type.__name__}, "
                 f"got {type(value).__name__}"
             )
-    if doc.get("format", FORMATS[0]) not in FORMATS:
-        raise ConfigError(f"config key 'format' must be one of {list(FORMATS)}")
+        if isinstance(kind, tuple) and value not in kind:
+            raise ConfigError(f"config key {key!r} must be one of {list(kind)}")
     return doc
 
 
 def merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the --config document (flags win)."""
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return args
-    doc = load_config(args.config)
+    doc = load_config(args.config, args.command)
     for key, value in doc.items():
-        if getattr(args, key, None) is None:
+        if getattr(args, key) is None:
             setattr(args, key, value)
     return args
 
@@ -462,53 +484,29 @@ def cmd_verify(args) -> int:
 # driver
 
 
+COMMANDS = {  # name: (function, help)
+    "zeta": (cmd_zeta, "partial zeta values for a single field"),
+    "family": (cmd_family, "quasi-polynomial analysis of a family"),
+    "lfunc": (cmd_lfunc, "Hecke L-values at 0 from a character"),
+    "verify": (cmd_verify, "run the verification suite"),
+}
+
+
 @cache  # built on the first call, then reused: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rayzeta",
         description="Exact partial zeta values at s=0 for real quadratic fields.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config document; flags override it")
-        p.add_argument("--preset", help="named family (rd-n2p2, quartic-16n4)")
-        p.add_argument("--f-poly", dest="f_poly",
-                       help="radicand polynomial, ascending coefficients: '2,0,1'")
-        p.add_argument("--a-polys", dest="a_polys",
-                       help="CF term polynomials, ';'-separated: '0,2;0,1'")
-        p.add_argument("--q", type=int, help="ray modulus (default 2)")
-        p.add_argument("--label", help="restrict to one label 'C,D'")
-        p.add_argument("--out", help="write the report to this file")
-        # No argparse default, so a config document's "format" applies.
-        p.add_argument("--format", choices=FORMATS, help="report format (default json)")
-
-    p_zeta = sub.add_parser("zeta", help="partial zeta values for a single field")
-    common(p_zeta)
-    p_zeta.add_argument("--n", type=int, help="family parameter n")
-
-    p_family = sub.add_parser("family", help="quasi-polynomial analysis of a family")
-    common(p_family)
-    p_family.add_argument("--k-range", dest="k_range", help="oracle sample range 'lo:hi'")
-
-    p_lfunc = sub.add_parser("lfunc", help="Hecke L-values at 0 from a character")
-    common(p_lfunc)
-    p_lfunc.add_argument("--char", help="character 'modulus:order:g=e[,g=e...]' or 'trivial'")
-
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    common(p_verify)
-    p_verify.add_argument("--criterion", help="comma-separated subset, e.g. 'A5'")
-    p_verify.add_argument("--n-max", dest="n_max", type=int,
-                          help="extend structure checks up to this n")
+    for command, (_, text) in COMMANDS.items():
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        for flag, kind, help_text, commands in OPTIONS:
+            if command in commands:
+                p.add_argument(flag, type=int if kind is int else str, help=help_text,
+                               choices=kind if isinstance(kind, tuple) else None)
     return parser
-
-
-COMMANDS = {
-    "zeta": cmd_zeta,
-    "family": cmd_family,
-    "lfunc": cmd_lfunc,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -519,7 +517,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code else EXIT_OK
     try:
         args = merge_config(args)
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except (ConfigError, CharacterError, LabelError, NotReducedError, LimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,13 +22,14 @@ by `delta_trace_norm`: the trace and norm of delta(n) either lie in Z[n],
 or the family is refused with a HypothesisError.  Fields are built only
 for the direct zeta values that check the closed forms.
 
-Each n is decided once, by one rule: `checked_terms` finds it usable,
-skipped (below the range, or f(n) not squarefree) or refused (f(n) <= 1, a
-term < 1, a radicand other than f(n), delta(n) not integral).  A command
-keeps one residue context per residue, and its `FieldTable` holds that
-answer for every n it meets and builds each usable field at most once.  The
-context checks its two witnesses, the first two usable n with k < `SCAN`,
-when it is built, so a residue is refused once, not once per label.
+Each n is decided once, by one rule: it is usable, skipped (below the
+range, f(n) not squarefree, or terms a_i(n) of a shorter period than the
+a_i) or refused by `checked_terms` (f(n) <= 1, a term < 1, a radicand other
+than f(n), delta(n) not integral).  A command keeps one residue context per
+residue, and its `FieldTable` holds that answer for every n it meets and
+builds each usable field at most once.  The context checks its two
+witnesses, the first two usable n with k < `SCAN`, when it is built, so a
+residue is refused once, not once per label.
 """
 
 from __future__ import annotations
@@ -268,11 +269,11 @@ SCAN = 128  # a residue's n = qk + r are scanned for usable fields over k < SCAN
 
 
 class FieldTable:
-    """The n = r mod q that one command meets, each decided once by
-    `checked_terms`: usable, skipped (below the family's range, or f(n) not
-    squarefree) or refused with the HypothesisError it raised; and the field
-    of each usable n, built at most once.  The table lives as long as its
-    owner, not the process."""
+    """The n = r mod q that one command meets, each decided once: usable,
+    skipped (below the family's range, f(n) not squarefree, or terms a_i(n)
+    of a shorter period than the a_i) or refused with the HypothesisError
+    `checked_terms` raised; and the field of each usable n, built at most
+    once.  The table lives as long as its owner, not the process."""
 
     def __init__(self, spec: FamilySpec, r: int):
         self.spec, self.r, self.checked, self.built = spec, r, {}, {}
@@ -282,8 +283,10 @@ class FieldTable:
         skipped; raises the refusal.  No field is built."""
         if n not in self.checked:
             try:
-                in_range = n >= self.spec.n_range[0]
-                self.checked[n] = checked_terms(self.spec, n) if in_range else None
+                checked = checked_terms(self.spec, n) if n >= self.spec.n_range[0] else None
+                # terms a_i(n) of a shorter period: K_n's unit is a root of the residue's
+                primitive = checked and len(primitive_period(checked[1])) == self.spec.s
+                self.checked[n] = checked if primitive else None
             except NonSquarefreeSkip:
                 self.checked[n] = None
             except HypothesisError as e:

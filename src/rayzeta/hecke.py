@@ -191,9 +191,7 @@ class LValueQuasiPoly:
         return out
 
 
-def hecke_L0_family(
-    spec: FamilySpec, chi: DirichletChar, residues=None
-) -> LValueQuasiPoly:
+def hecke_L0_family(spec: FamilySpec, chi: DirichletChar) -> LValueQuasiPoly:
     """Quasi-polynomial (in k, per residue r) of the family's L-values at 0.
 
     The representatives, their character symbols and the fields come from
@@ -202,9 +200,8 @@ def hecke_L0_family(
     """
     if chi.modulus != spec.q:
         raise CharacterError("character modulus must equal q")
-    residues = range(spec.q) if residues is None else residues
     out: dict[int, list[CharSpanValue]] = {}
-    for r in residues:
+    for r in range(spec.q):
         rctx = ResidueContext(spec, r)
         witness = rctx.fields.field(rctx.witnesses[0])
         vecs = [CharSpanValue.zero() for _ in range(spec.d + 1)]

@@ -1,5 +1,6 @@
 """Tests for the command-line driver: parsing, reports, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -786,3 +787,121 @@ def test_empty_flag_value_is_config_error(tmp_path, capsys, command, key, messag
                  [command, *family_args, "--config", str(cfg)])[: 1 if key == "config" else 2]:
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# The flags each subcommand reads, written out by hand: the parser must
+# offer exactly these, and a config document exactly their keys.
+ACCEPTED_FLAGS = {
+    "zeta": {"--config", "--preset", "--f-poly", "--a-polys", "--q", "--label", "--n",
+             "--out", "--format"},
+    "family": {"--config", "--preset", "--f-poly", "--a-polys", "--q", "--label",
+               "--k-range", "--out", "--format"},
+    "lfunc": {"--config", "--preset", "--f-poly", "--a-polys", "--q", "--char", "--out",
+              "--format"},
+    "verify": {"--config", "--q", "--criterion", "--n-max", "--out", "--format"},
+}
+ALL_FLAGS = set().union(*ACCEPTED_FLAGS.values())
+# a value each flag but --config accepts, and a run of each subcommand that exits 0
+FLAG_VALUES = {
+    "--preset": "rd-n2p2", "--f-poly": "2,0,1", "--a-polys": "0,2;0,1",
+    "--q": "2", "--label": "1,0", "--n": "3", "--k-range": "0:6", "--char": "trivial",
+    "--criterion": "A7", "--n-max": "3", "--out": os.devnull, "--format": "csv",
+}
+BASE_ARGS = {
+    "zeta": ["--preset", "rd-n2p2", "--q", "3", "--n", "3"],
+    "family": ["--preset", "rd-n2p2", "--q", "2", "--label", "1,0"],
+    "lfunc": ["--preset", "rd-n2p2", "--q", "2"],
+    "verify": ["--criterion", "A7"],
+}
+
+
+def config_value(flag):
+    value = FLAG_VALUES[flag]
+    return int(value) if flag in ("--q", "--n", "--n-max") else value
+
+
+def test_each_subcommand_accepts_exactly_the_flags_it_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices.keys() == ACCEPTED_FLAGS.keys()
+    for command, parser in sub.choices.items():
+        flags = set(parser._option_string_actions) - {"-h", "--help"}
+        assert flags == ACCEPTED_FLAGS[command], command
+    assert sum(map(len, ACCEPTED_FLAGS.values())) == 32
+
+
+def test_each_subcommand_reads_the_config_keys_of_its_flags(tmp_path):
+    for command, flags in ACCEPTED_FLAGS.items():
+        doc = {flag[2:].replace("-", "_"): config_value(flag)
+               for flag in flags - {"--config"}}
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.load_config(str(cfg), command) == doc
+    assert sum(len(flags) - 1 for flags in ACCEPTED_FLAGS.values()) == 28
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in ACCEPTED_FLAGS
+    for flag in sorted(ALL_FLAGS - ACCEPTED_FLAGS[command])])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, command, flag):
+    code = main([command, *BASE_ARGS[command], flag, FLAG_VALUES[flag]])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.endswith(f"error: unrecognized arguments: {flag} {FLAG_VALUES[flag]}\n")
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in ACCEPTED_FLAGS
+    for flag in sorted(ALL_FLAGS - ACCEPTED_FLAGS[command])])
+def test_a_config_key_the_subcommand_does_not_read_is_refused(tmp_path, capsys, command, flag):
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: config_value(flag)}))
+    code = main([command, *BASE_ARGS[command], "--config", str(cfg)])
+    assert (code, *capsys.readouterr()) == (
+        EXIT_CONFIG, "", f"error: unknown config keys: [{key!r}]\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--crit", "A1", "--n", "3"],
+    ["verify", "--criterion", "A1", "--n", "3"],
+    ["zeta", "--pre", "rd-n2p2", "--n", "1"],
+    ["zeta", "--preset", "rd-n2p2", "--n", "1", "--form", "csv"],
+    ["family", "--preset", "rd-n2p2", "--q", "2", "--k", "0:6"],
+    ["lfunc", "--preset", "rd-n2p2", "--q", "2", "--ch", "trivial"],
+    ["lfunc", "--preset", "rd-n2p2", "--q", "2", "--out=" + os.devnull, "--conf", "x"],
+], ids=lambda argv: "_".join(argv[:2]) + "_" + argv[-2])
+def test_abbreviated_flags_are_usage_errors(capsys, argv):
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
+
+
+# At n = 0 the terms (1, 1, 1) of a_i = (1 + 2n, 1, 1) repeat the period (1,),
+# so K_0's unit is a cube root of the unit of the residue context of r = 0:
+# n = 0 is skipped, as a non-squarefree f(n) is.
+COLLAPSE = ["--f-poly", "5,8,4", "--a-polys", "1,2;1;1"]
+COLLAPSE_DIGESTS = {
+    2: "d2d5097f525cb1e24b24a8cf4c24c094d83732b92113b42127c2ef124ef5bdf3",
+    3: "e82e689b4318f8e97843532c54496ffac953bf8dcf8818d735fd81db84a3b8b3",
+    4: "f381129d54c6f2d3c481fc62e4a02e42af03a2dc1754a99b2ccacb479fe05614",
+    5: "149125f1b9f93c9347ec4255755e0b447a0716e3409dd38616c5369d18a37ad4",
+}
+
+
+@pytest.mark.parametrize("q", sorted(COLLAPSE_DIGESTS))
+def test_a_field_whose_terms_collapse_their_period_is_skipped(capsys, q):
+    code, out = run(capsys, ["family", *COLLAPSE, "--q", str(q)])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == COLLAPSE_DIGESTS[q]
+    report = json.loads(out)
+    assert report["failures"] == [] and report["rows"]
+    for row in report["rows"]:
+        assert row["oracle_ok"]
+        assert (0 in row["skipped_ks"]) == (row["r"] == 0)
+
+
+def test_lfunc_skips_a_field_whose_terms_collapse_their_period(capsys):
+    code, out = run(capsys, ["lfunc", *COLLAPSE, "--q", "3"])
+    assert code == EXIT_OK
+    assert [row["r"] for row in json.loads(out)["rows"]] == [0, 0, 1, 1, 2, 2]

@@ -583,3 +583,14 @@ def test_field_table_builds_each_n_once(monkeypatch):
     with pytest.raises(HypothesisError, match="has radicand 6, expected f"):
         table.first_ns(1)  # the scan meets the refusal before a usable n
     assert calls == {("check", 2): 1}
+
+
+def test_field_table_skips_an_n_whose_terms_collapse_their_period():
+    # a_i = (1 + 2n, 1, 1): at n = 0 the terms (1, 1, 1) have the period (1,),
+    # so K_0's unit is a cube root of the unit the residue context of r = 0 takes
+    spec = FamilySpec("collapse", (5, 8, 4), ((1, 2), (1,), (1,)), 3, (0, 100))
+    assert family.checked_terms(spec, 0) == (5, (1, 1, 1))  # usable as a field
+    table = FieldTable(spec, 0)
+    assert table.check(0) is None and table.field(0) is None
+    assert table.check(3) == family.checked_terms(spec, 3) == (65, (7, 1, 1))
+    assert ResidueContext(spec, 0).witnesses == [3, 6]

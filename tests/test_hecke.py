@@ -115,15 +115,15 @@ def test_hecke_L0_modulus_mismatch():
 def test_hecke_family_interpolates_direct_values():
     spec = PRESETS["rd-n2p2"].with_q(5)
     chi = order4_mod5()
-    lqp = hecke_L0_family(spec, chi, residues=(1, 2))
-    for r in (1, 2):
+    lqp = hecke_L0_family(spec, chi)
+    for r in range(spec.q):
         for inst in first_instances(spec, r, spec.d + 2):
             assert lqp.evaluate(inst.n) == hecke_L0(inst.ctx, chi)
 
 
 def test_hecke_family_symbols_are_unit_residues():
     spec = PRESETS["rd-n2p2"].with_q(5)
-    lqp = hecke_L0_family(spec, order4_mod5(), residues=(1,))
+    lqp = hecke_L0_family(spec, order4_mod5())
     symbols = set()
     for vec in lqp.coeffs[1]:
         symbols.update(vec.as_dict())
