@@ -492,6 +492,16 @@ COMMANDS = {  # name: (function, help)
 }
 
 
+class SubcommandParser(argparse.ArgumentParser):
+    """Refuses what its subcommand does not take, so the error names it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @cache  # built on the first call, then reused: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -499,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact partial zeta values at s=0 for real quadratic fields.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=SubcommandParser)
     for command, (_, text) in COMMANDS.items():
         p = sub.add_parser(command, help=text, allow_abbrev=False)
         for flag, kind, help_text, commands in OPTIONS:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .exactmath import LimitError, Record
-from .quadfield import QuadElem, QuadField, conj, squarefree_part
+from .quadfield import QuadElem, QuadField, norm, squarefree_part, trace
 
 
 MAX_PERIOD = 10**6  # default bound on a period's number of terms
@@ -96,8 +96,9 @@ class MinusCF(Record):
 
 
 def _is_plus_reduced(x: QuadElem) -> bool:
-    one = x.field.elem(1)
-    return x > one and -one / conj(x) > one
+    """x > 1 > 0 > x' > -1: x > x', 0 and 1 between them, -1 below both."""
+    tr, nm = trace(x), norm(x)
+    return x.b > 0 and nm < 0 and 1 - tr + nm < 0 < 1 + tr + nm
 
 
 def plus_cf(x: QuadElem, max_period: int = MAX_PERIOD) -> PeriodicCF:
@@ -189,10 +190,12 @@ def cf_value(cf: PeriodicCF, radicand: int | None = None) -> QuadElem:
         radicand = squarefree_part(disc)
         c = isqrt(disc // radicand)
     field = QuadField(radicand)
-    root = field.elem(Fraction(-B, 2 * A), Fraction(c, 2 * A))
-    if not (root > field.elem(1)):
+    # the larger root exceeds 1 iff p(1) = A + B + C < 0 (1 between the
+    # roots), or p(1) > 0 and the vertex -B/2A exceeds 1 (both roots above 1)
+    p1 = A + B + C
+    if not (p1 < 0 or p1 > 0 and -B > 2 * A):
         raise RuntimeError("fixed-point root selection failed")
-    return root
+    return QuadElem(Fraction(-B, 2 * A), Fraction(c, 2 * A), field)
 
 
 def pair_count(s: int) -> int:

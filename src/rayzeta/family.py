@@ -22,14 +22,14 @@ by `delta_trace_norm`: the trace and norm of delta(n) either lie in Z[n],
 or the family is refused with a HypothesisError.  Fields are built only
 for the direct zeta values that check the closed forms.
 
-Each n is decided once, by one rule: it is usable, skipped (below the
-range, f(n) not squarefree, or terms a_i(n) of a shorter period than the
-a_i) or refused by `checked_terms` (f(n) <= 1, a term < 1, a radicand other
-than f(n), delta(n) not integral).  A command keeps one residue context per
-residue, and its `FieldTable` holds that answer for every n it meets and
-builds each usable field at most once.  The context checks its two
-witnesses, the first two usable n with k < `SCAN`, when it is built, so a
-residue is refused once, not once per label.
+Each n is decided once, by one rule: it is usable, skipped (below the range,
+f(n) <= 1 or not squarefree, or terms a_i(n) of a shorter period than the
+a_i) or refused by `checked_terms` (a term < 1, a radicand other than f(n),
+delta(n) not integral; f(n) <= 1 where a command names n).  A command keeps
+one residue context per residue, and its `FieldTable` holds that answer for
+every n it meets and builds each usable field at most once.  The context
+checks its two witnesses, the first two usable n with k < `SCAN`, when it is
+built, so a residue is refused once, not once per label.
 """
 
 from __future__ import annotations
@@ -270,8 +270,8 @@ SCAN = 128  # a residue's n = qk + r are scanned for usable fields over k < SCAN
 
 class FieldTable:
     """The n = r mod q that one command meets, each decided once: usable,
-    skipped (below the family's range, f(n) not squarefree, or terms a_i(n)
-    of a shorter period than the a_i) or refused with the HypothesisError
+    skipped (below the family's range, f(n) <= 1 or not squarefree, or terms
+    a_i(n) of a shorter period than the a_i) or refused with the HypothesisError
     `checked_terms` raised; and the field of each usable n, built at most
     once.  The table lives as long as its owner, not the process."""
 
@@ -283,7 +283,8 @@ class FieldTable:
         skipped; raises the refusal.  No field is built."""
         if n not in self.checked:
             try:
-                checked = checked_terms(self.spec, n) if n >= self.spec.n_range[0] else None
+                inside = n >= self.spec.n_range[0] and not self.no_radicand(n)
+                checked = checked_terms(self.spec, n) if inside else None
                 # terms a_i(n) of a shorter period: K_n's unit is a root of the residue's
                 primitive = checked and len(primitive_period(checked[1])) == self.spec.s
                 self.checked[n] = checked if primitive else None
@@ -295,6 +296,10 @@ class FieldTable:
             raise self.checked[n]
         return self.checked[n]
 
+    def no_radicand(self, n: int) -> bool:
+        """f(n) <= 1: such an n lies outside the family and is skipped."""
+        return poly_eval(self.spec.f_poly, n) <= 1
+
     def field(self, n: int) -> FieldInstance | None:
         """The field K_n, or None where n is skipped; raises the refusal."""
         if n not in self.built:
@@ -304,11 +309,16 @@ class FieldTable:
 
     def first_ns(self, count: int) -> list[int]:
         """The first `count` usable n = qk + r, k < SCAN, checked and not
-        built; HypothesisError at the first refusal, or if there are fewer."""
+        built; HypothesisError at the first refusal, or if there are fewer
+        (naming the first n skipped for f(n) <= 1)."""
         q, r = self.spec.q, self.r
         ns = list(islice(filter(self.check, range(r, q * SCAN + r, q)), count))
         if len(ns) < count:
-            raise HypothesisError(f"could not find {count} squarefree instances for residue {r}")
+            low = [n for n in range(r, q * SCAN + r, q)
+                   if n >= self.spec.n_range[0] and self.no_radicand(n)]
+            more = ", ..." if len(low) > 3 else ""
+            why = f"; f(n) <= 1 for n = {', '.join(map(str, low[:3]))}{more}" if low else ""
+            raise HypothesisError(f"could not find {count} squarefree instances for residue {r}{why}")
         return ns
 
 

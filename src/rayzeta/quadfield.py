@@ -1,8 +1,10 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(Delta)).
 
 Elements are pairs of Fractions (a, b) representing a + b*sqrt(Delta).
-All comparisons and sign decisions are made with integer arithmetic only
-(compare a^2 against Delta*b^2), never with floating point.
+Signs are decided exactly from T = tr x, N = N x and the sign of b, never
+with floating point: x > x' iff b > 0, and t lies between x and x' iff
+t^2 - Tt + N < 0.  `QuadElem.sign` (a^2 against Delta*b^2), `<` and `>`
+serve the oracles.
 
 Squarefree certification (`is_squarefree`, `squarefree_part`) is trial
 division by p up to min(n^(1/3), bound): a cofactor below p^3 with no prime
@@ -232,26 +234,25 @@ def is_totally_positive(x: QuadElem) -> bool:
     """True iff both real embeddings of x are positive."""
     if x.a == 0 and x.b == 0:
         raise ValueError("total positivity is undefined for zero")
-    return x.sign() > 0 and conj(x).sign() > 0
+    return norm(x) > 0 and trace(x) > 0  # x, x' of one sign, and their sum positive
 
 
 class ModuleBasis:
-    """The Z-module [1, delta]; delta must be reduced: delta > 1, 0 < delta' < 1."""
+    """The Z-module [1, delta]; delta must be reduced: delta > 1, 0 < delta' < 1,
+    decided from `trace_norm` = (tr delta, N delta), which the caller holds
+    (a `ConeContext` on integers), and the sign of delta's sqrt(Delta) part."""
 
     __slots__ = ("delta",)
 
-    def __init__(self, delta: QuadElem):
-        self.delta = d = delta
-        if not (d > d.field.elem(1)):
+    def __init__(self, delta: QuadElem, trace_norm: tuple[int, int]):
+        self.delta = delta
+        tr, nm = trace_norm
+        p1 = 1 - tr + nm  # (1 - delta)(1 - delta'), negative iff 1 lies between them
+        if not (delta.b > 0 and p1 < 0 and nm > 0):  # delta > 1 > delta' > 0
+            # delta > 1 all the same: the larger root above 1, or both roots above 1
+            if p1 < 0 < delta.b or p1 > 0 and tr > 2:
+                raise ValueError("conjugate of delta must lie in (0,1)")
             raise ValueError("delta must exceed 1")
-        dc = conj(d)
-        zero, one = d.field.elem(0), d.field.elem(1)
-        if not (zero < dc < one):
-            raise ValueError("conjugate of delta must lie in (0,1)")
-
-    @property
-    def field(self) -> QuadField:
-        return self.delta.field
 
 
 def coords_in_basis(x: QuadElem, basis: ModuleBasis) -> tuple[Fraction, Fraction]:
@@ -260,10 +261,6 @@ def coords_in_basis(x: QuadElem, basis: ModuleBasis) -> tuple[Fraction, Fraction
     v = x.b / d.b
     u = x.a - v * d.a
     return u, v
-
-
-def eval_coords(u, v, basis: ModuleBasis) -> QuadElem:
-    return basis.field.elem(Fraction(u)) + Fraction(v) * basis.delta
 
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
@@ -296,7 +293,7 @@ def fundamental_unit_totally_positive(basis: ModuleBasis, matrix: Matrix) -> Qua
     (a, b), (c, d) = matrix
     if a * d - b * c != 1 or a + d <= 2 or c <= 0:
         raise UnitSearchError("unit recurrence returned a non-unit; field data malformed")
-    return eval_coords(a, c, basis)
+    return QuadElem(a + c * basis.delta.a, c * basis.delta.b, basis.delta.field)
 
 
 def mult_matrix(x: QuadElem, basis: ModuleBasis):

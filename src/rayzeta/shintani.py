@@ -9,12 +9,13 @@ off the plus period by the index rule `contfrac.plus_to_minus`, as runs
 takes tr delta and N delta on integers from the period's `fixed_point`.
 From the runs it takes the unit's integer matrix (`quadfield.unit_matrix`:
 a run of 2s is one arithmetic step), checked against tr and N, its series
-steps (`series_steps`) and the lambda*m cap: O(runs), not O(m).  Lambda and
-every label norm mod q (`norm_form`) are read on integers; only the unit
-action `eps_act` runs on `Fraction`s.  Inside a run of 2s the Yamamoto
-numerators form an arithmetic progression mod q, so `progression_sum` adds
-a run of any length in O(q); `term12` remains the per-term kernel.  A
-context keeps each label's orbit once computed (`orbit_of`).
+steps (`series_steps`) and the lambda*m cap: O(runs), not O(m).  Lambda,
+every label norm mod q (`norm_form`) and the checks of delta and the unit
+are on integers; only the unit action `eps_act` runs on `Fraction`s.  Inside
+a run of 2s the Yamamoto numerators form an arithmetic progression mod q, so
+`progression_sum` adds a run of any length in O(q); `term12` remains the
+per-term kernel.  A context walks each unit orbit once (`orbit_of`), so a
+command over all of F_delta makes |F_delta| unit actions, not |F_delta|*lambda.
 """
 
 from __future__ import annotations
@@ -92,10 +93,9 @@ class ConeContext:
 
     def __init__(self, cf: PeriodicCF, radicand: int, q: int):
         self.cf, self.q, self._orbits = cf, q, {}
-        self.basis = ModuleBasis(cf_value(cf, radicand) + 1)
-        self.__post_init__()
+        self.__post_init__(radicand)
 
-    def __post_init__(self):
+    def __post_init__(self, radicand: int):
         raw = os.environ.get("RAYZETA_MAX_TERMS", str(MAX_TERMS_DEFAULT))
         try:
             max_terms = int(raw)
@@ -110,6 +110,7 @@ class ConeContext:
         if bad_tr or bad_nm:
             raise LabelError("(C+D*delta)*b is not integral; basis data malformed")
         self.trace_norm = tr, nm
+        self.basis = ModuleBasis(cf_value(self.cf, radicand) + 1, self.trace_norm)
         self.mcf = plus_to_minus(cf)
         matrix = unit_matrix(self.mcf.runs)
         self.eps = fundamental_unit_totally_positive(self.basis, matrix)
@@ -130,10 +131,13 @@ class ConeContext:
         return norm_form(C, D, *self.trace_norm) % self.q
 
     def orbit_of(self, label: RayLabel) -> list[RayLabel]:
-        """`orbit`, computed once per label on this context."""
+        """`orbit`, walked once per cycle: y = eps^j x gets x's cycle started at y.
+        Each member keeps the one cycle and its offset j in it."""
         if label not in self._orbits:
-            self._orbits[label] = orbit(label, self)
-        return self._orbits[label]
+            cycle = orbit(label, self)
+            self._orbits.update((member, (cycle, j)) for j, member in enumerate(cycle))
+        cycle, j = self._orbits[label]
+        return cycle[j:] + cycle[:j]
 
     def act(self, label: RayLabel) -> RayLabel:
         """The label's image under the unit, `eps_act`."""
@@ -194,7 +198,7 @@ def boundary_points(basis: ModuleBasis, mcf: MinusCF, count: int) -> list[QuadEl
     Index shift: returned[i] is P_{i-1}.
     """
     terms, m = mcf.terms, mcf.m
-    pts = [basis.delta, basis.field.elem(1)]
+    pts = [basis.delta, basis.delta.field.elem(1)]
     for i in range(count):
         pts.append(terms[i % m] * pts[-1] - pts[-2])
     return pts

@@ -566,8 +566,11 @@ def test_zeta_computes_each_orbit_once(capsys, monkeypatch):
     code, out = run(capsys, ["zeta", "--preset", "quartic-16n4", "--q", "5", "--n", "3"])
     assert code == EXIT_OK
     rows = json.loads(out)["rows"]
-    assert len(rows) == 20 and max(calls.values()) == 1
-    assert set(calls) == {(row["C"], row["D"]) for row in rows}
+    lam = rows[0]["lambda"]
+    # one walk per cycle: the walked labels start disjoint orbits covering F_delta
+    assert len(rows) == 20 and lam > 1 and sum(calls.values()) == len(rows) // lam
+    walked = [tuple(m) for row in rows if (row["C"], row["D"]) in calls for m in row["orbit"]]
+    assert sorted(walked) == sorted((row["C"], row["D"]) for row in rows)
 
 
 def test_lambda_and_label_norms_take_the_integer_route(capsys, monkeypatch):
@@ -847,7 +850,10 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, command, f
     code = main([command, *BASE_ARGS[command], flag, FLAG_VALUES[flag]])
     out, err = capsys.readouterr()
     assert (code, out) == (EXIT_CONFIG, "")
-    assert err.endswith(f"error: unrecognized arguments: {flag} {FLAG_VALUES[flag]}\n")
+    # the subcommand's own parser reports it, naming the subcommand
+    assert err.startswith(f"usage: rayzeta {command} ")
+    assert err.endswith(
+        f"\nrayzeta {command}: error: unrecognized arguments: {flag} {FLAG_VALUES[flag]}\n")
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -905,3 +911,48 @@ def test_lfunc_skips_a_field_whose_terms_collapse_their_period(capsys):
     code, out = run(capsys, ["lfunc", *COLLAPSE, "--q", "3"])
     assert code == EXIT_OK
     assert [row["r"] for row in json.loads(out)["rows"]] == [0, 0, 1, 1, 2, 2]
+
+
+# f = 1 + n^2 with delta(n) = 1 + [[2n]]: f(0) = 1 is no radicand, so n = 0
+# lies outside the family and is skipped, as a non-squarefree f(n) is
+UNIT_RADICAND = ["--f-poly", "1,0,1", "--a-polys", "0,2", "--q", "3"]
+
+
+def test_family_skips_an_n_whose_f_is_no_radicand(capsys):
+    code, out = run(capsys, ["family", *UNIT_RADICAND])
+    assert code == EXIT_OK
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "6f0de241ed9df509524b5a797f6e38d72d3afe89c188b1e00fb0c284929f0bdb")
+    report = json.loads(out)
+    assert report["failures"] == [] and len(report["rows"]) == 20
+    for row in report["rows"]:
+        assert row["oracle_ok"]
+        assert (0 in row["skipped_ks"]) == (row["r"] == 0)
+
+
+def test_lfunc_skips_an_n_whose_f_is_no_radicand(capsys):
+    code, out = run(capsys, ["lfunc", *UNIT_RADICAND, "--char", "trivial"])
+    assert code == EXIT_OK
+    assert [row["r"] for row in json.loads(out)["rows"]] == [0, 0, 1, 1, 2, 2]
+
+
+def test_zeta_at_an_n_whose_f_is_no_radicand_is_refused(capsys):
+    code = main(["zeta", *UNIT_RADICAND, "--n", "0"])
+    assert (code, *capsys.readouterr()) == (
+        EXIT_HYPOTHESIS, "", "hypothesis violation: f(0) = 1 is not a valid radicand\n")
+
+
+def test_a_residue_whose_f_falls_to_1_or_below_names_it(capsys):
+    # f = 5 - n^2 with delta(n) = 1 + [[1]]: only n = 0 and 1 have f(n) > 1, so
+    # no residue finds its two witnesses, and the refusal says why
+    negative = ["--f-poly", "5,0,-1", "--a-polys", "1", "--q", "3"]
+    code, out = run(capsys, ["family", *negative])
+    assert code == EXIT_HYPOTHESIS
+    assert json.loads(out)["failures"] == [
+        {"r": r, "error": f"could not find 2 squarefree instances for residue {r}; "
+                          f"f(n) <= 1 for n = {ns}, ..."}
+        for r, ns in [(0, "3, 6, 9"), (1, "4, 7, 10"), (2, "2, 5, 8")]
+    ]
+    code = main(["zeta", *negative, "--n", "3"])
+    assert (code, *capsys.readouterr()) == (
+        EXIT_HYPOTHESIS, "", "hypothesis violation: f(3) = -4 is not a valid radicand\n")

@@ -22,8 +22,9 @@ from rayzeta.family import PRESETS, checked_terms, poly_eval
 from rayzeta.quadfield import (
     ModuleBasis,
     QuadField,
-    eval_coords,
     fundamental_unit_totally_positive,
+    norm,
+    trace,
     unit_matrix,
 )
 
@@ -51,7 +52,7 @@ def per_term_unit(basis, terms):
     (u_prev, v_prev), (u, v) = (0, 1), (1, 0)
     for b in terms:
         u_prev, v_prev, u, v = u, v, b * u - u_prev, b * v - v_prev
-    return eval_coords(u, v, basis).inverse()
+    return (u + v * basis.delta).inverse()
 
 
 def minus_cf_value(terms):
@@ -232,7 +233,7 @@ def test_run_length_minus_cf_equals_ceiling_oracle(period):
 @given(periods_with_runs())
 def test_unit_from_runs_equals_per_term_recurrence(period):
     x = minus_cf_value(period)
-    basis = ModuleBasis(x)
+    basis = ModuleBasis(x, (trace(x), norm(x)))
     mcf = minus_cf(x)
     want = per_term_unit(basis, mcf.terms)
     assert fundamental_unit_totally_positive(basis, unit_matrix(mcf.runs)) == want
@@ -246,7 +247,7 @@ def test_run_length_minus_cf_and_unit_on_presets(name):
         delta = cf_value(cf) + 1
         mcf = plus_to_minus(cf)
         assert mcf == minus_cf(delta), n
-        basis = ModuleBasis(delta)
+        basis = ModuleBasis(delta, (trace(delta), norm(delta)))
         eps = fundamental_unit_totally_positive(basis, unit_matrix(mcf.runs))
         assert eps == per_term_unit(basis, mcf.terms), n
 

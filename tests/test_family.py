@@ -594,3 +594,26 @@ def test_field_table_skips_an_n_whose_terms_collapse_their_period():
     assert table.check(0) is None and table.field(0) is None
     assert table.check(3) == family.checked_terms(spec, 3) == (65, (7, 1, 1))
     assert ResidueContext(spec, 0).witnesses == [3, 6]
+
+
+def test_field_table_skips_an_n_whose_f_is_no_radicand():
+    # f = 1 + n^2: f(0) = 1 is no radicand, so n = 0 lies outside the family,
+    # where a command that names n = 0 itself is refused
+    spec = FamilySpec("unit-radicand", (1, 0, 1), ((0, 2),), 3, (0, 100))
+    with pytest.raises(HypothesisError, match=r"^f\(0\) = 1 is not a valid radicand$"):
+        family.checked_terms(spec, 0)
+    table = FieldTable(spec, 0)
+    assert table.check(0) is None and table.field(0) is None
+    assert table.check(3) == family.checked_terms(spec, 3) == (10, (6,))
+    assert ResidueContext(spec, 0).witnesses == [3, 6]
+
+
+def test_first_ns_names_the_n_with_f_at_most_1():
+    # f = 5 - n^2: residue 0 has n = 0 only; the message lists the n skipped
+    # for f(n) <= 1, not just the shortfall
+    spec = FamilySpec("negative-f", (5, 0, -1), ((1,),), 3, (0, 100))
+    msg = "could not find 2 squarefree instances for residue 0; f(n) <= 1 for n = 3, 6, 9, ..."
+    with pytest.raises(HypothesisError, match=f"^{re.escape(msg)}$"):
+        ResidueContext(spec, 0)
+    table = FieldTable(spec, 0)
+    assert table.check(0) == (5, (1,)) and table.check(3) is None

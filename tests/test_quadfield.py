@@ -2,11 +2,13 @@
 
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rayzeta.contfrac import minus_cf
+from rayzeta import contfrac
+from rayzeta.contfrac import PeriodicCF, _is_plus_reduced, cf_value, minus_cf
 from rayzeta.exactmath import LimitError
 from rayzeta.quadfield import (
     ModuleBasis,
@@ -14,7 +16,6 @@ from rayzeta.quadfield import (
     UnitSearchError,
     conj,
     coords_in_basis,
-    eval_coords,
     fundamental_unit_totally_positive,
     is_perfect_square,
     is_squarefree,
@@ -26,6 +27,10 @@ from rayzeta.quadfield import (
     unit_index_lambda,
     unit_matrix,
 )
+
+
+def basis_of(delta):
+    return ModuleBasis(delta, (trace(delta), norm(delta)))
 
 
 def unit_of(basis):
@@ -179,30 +184,29 @@ def test_totally_positive():
 def test_module_basis_validates_reduction():
     K = QuadField(3)
     delta = K.elem(2, 1)  # delta > 1 and 0 < delta' < 1
-    basis = ModuleBasis(delta)
+    basis = basis_of(delta)
     assert basis.delta == delta
     with pytest.raises(ValueError):
-        ModuleBasis(K.elem(1, 1))  # conjugate negative
+        basis_of(K.elem(1, 1))  # conjugate negative
 
 
 def test_coords_round_trip():
     K = QuadField(11)
     delta = K.elem(10, 3)  # 10 + 3*sqrt(11): delta' = 10 - 9.95 in (0,1)
-    basis = ModuleBasis(delta)
+    basis = basis_of(delta)
     x = K.elem(Fraction(7, 2), Fraction(5, 3))
     u, v = coords_in_basis(x, basis)
-    assert eval_coords(u, v, basis) == x
     assert u + v * delta == x
 
 
 def test_fundamental_unit_small_fields():
     K3 = QuadField(3)
-    basis3 = ModuleBasis(K3.elem(2, 1))
+    basis3 = basis_of(K3.elem(2, 1))
     eps3 = unit_of(basis3)
     assert eps3 == K3.elem(2, 1)
 
     K11 = QuadField(11)
-    basis11 = ModuleBasis(K11.elem(10, 3))
+    basis11 = basis_of(K11.elem(10, 3))
     eps11 = unit_of(basis11)
     assert eps11 == K11.elem(10, 3)
 
@@ -210,7 +214,7 @@ def test_fundamental_unit_small_fields():
 def test_fundamental_unit_properties():
     for delta_pair, Delta in [((2, 1), 3), ((10, 3), 11), ((3, 1), 6)]:
         K = QuadField(Delta)
-        basis = ModuleBasis(K.elem(*delta_pair))
+        basis = basis_of(K.elem(*delta_pair))
         eps = unit_of(basis)
         assert norm(eps) == 1
         assert is_totally_positive(eps)
@@ -228,7 +232,7 @@ def test_fundamental_unit_properties():
     ((0, 1), (1, 4)),  # determinant -1
 ])
 def test_fundamental_unit_refuses_a_matrix_that_is_not_its_own(matrix):
-    basis = ModuleBasis(QuadField(3).elem(2, 1))
+    basis = basis_of(QuadField(3).elem(2, 1))
     assert fundamental_unit_totally_positive(basis, ((0, -1), (1, 4))) == basis.delta
     with pytest.raises(UnitSearchError):
         fundamental_unit_totally_positive(basis, matrix)
@@ -236,7 +240,7 @@ def test_fundamental_unit_refuses_a_matrix_that_is_not_its_own(matrix):
 
 def test_unit_index_lambda_counts_orbit_period():
     K = QuadField(3)
-    basis = ModuleBasis(K.elem(2, 1))
+    basis = basis_of(K.elem(2, 1))
     eps = unit_of(basis)
     for q in (2, 3, 5):
         lam = unit_index_lambda(mult_matrix(eps, basis), q)
@@ -252,10 +256,77 @@ def test_unit_index_lambda_counts_orbit_period():
 
 def test_unit_index_lambda_is_bounded_by_q_squared():
     K = QuadField(11)
-    basis = ModuleBasis(K.elem(10, 3))
+    basis = basis_of(K.elem(10, 3))
     eps = unit_of(basis)
     for q in range(2, 12):
         assert 1 <= unit_index_lambda(mult_matrix(eps, basis), q) <= q * q - 1
     # 2 is not a unit: its powers never return to 1 modulo 2*[1, delta]
     with pytest.raises(UnitSearchError):
         unit_index_lambda(mult_matrix(K.elem(2), basis), 2)
+
+
+# Sign decisions from (trace, norm) against the QuadElem.sign route they replace.
+
+
+def outcome(fn, *args):
+    """What a call does: ("ok", its result) or (exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as e:  # noqa: BLE001 - the exception is what is compared
+        return type(e), str(e)
+
+
+def build_basis(delta):
+    basis_of(delta)
+
+
+def build_basis_by_sign(delta):
+    K = delta.field
+    if not (delta > K.elem(1)):
+        raise ValueError("delta must exceed 1")
+    if not (K.elem(0) < conj(delta) < K.elem(1)):
+        raise ValueError("conjugate of delta must lie in (0,1)")
+
+
+fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+nonsquares = st.integers(2, 60).filter(lambda d: not is_perfect_square(d))
+
+
+@settings(max_examples=400, deadline=None)
+@given(fractions, fractions, nonsquares)
+@example(Fraction(2), Fraction(1), 3)  # 2 + sqrt(3): reduced
+@example(Fraction(1), Fraction(1), 3)  # conjugate negative
+@example(Fraction(3), Fraction(1), 3)  # conjugate above 1
+@example(Fraction(-2), Fraction(1), 3)  # below 1, as its conjugate is
+@example(Fraction(2), Fraction(0), 3)  # rational above 1
+@example(Fraction(1), Fraction(0), 3)  # rational 1
+@example(Fraction(3, 4), Fraction(1, 6), 2)  # both roots in (1/2, 1): trace in (1, 2)
+def test_trace_norm_signs_match_the_sign_route(a, b, Delta):
+    K = QuadField(Delta)
+    x = K.elem(a, b)
+    want = outcome(build_basis_by_sign, x)
+    assert outcome(build_basis, x) == want
+    if a or b:
+        assert is_totally_positive(x) == (x.sign() > 0 and conj(x).sign() > 0)
+    one = K.elem(1)
+    assert _is_plus_reduced(x) == (x > one and -one / conj(x) > one)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fractions, fractions.filter(bool), nonsquares)
+@example(Fraction(1, 2), Fraction(1, 2), 5)  # the golden ratio, above 1
+@example(Fraction(-1), Fraction(1), 3)  # sqrt(3) - 1, below 1
+@example(Fraction(3, 4), Fraction(1, 6), 2)  # both roots in (1/2, 1): vertex in (1/2, 1)
+def test_cf_value_root_test_matches_the_sign_route(a, b, Delta):
+    # the fixed-point equation A x^2 + B x + C = 0 of a + |b| sqrt(Delta), on integers
+    L = math.lcm(a.denominator, b.denominator)
+    A, B, C = L * L, -2 * int(a * L) * L, int(a * L) ** 2 - Delta * int(b * L) ** 2
+    disc = B * B - 4 * A * C
+    K = QuadField(squarefree_part(disc))
+    root = K.elem(Fraction(-B, 2 * A), Fraction(math.isqrt(disc // K.Delta), 2 * A))
+    if root > K.elem(1):
+        want = "ok", root
+    else:
+        want = RuntimeError, "fixed-point root selection failed"
+    with patch.object(contfrac, "fixed_point", lambda terms: (A, B, C)):
+        assert outcome(cf_value, PeriodicCF((1,))) == want

@@ -357,3 +357,21 @@ def test_series_equals_dedekind_sum_formula_on_random_runs(runs):
     if mcf.runs[0][0] == mcf.runs[-1][0] and len(mcf.runs) > 1:
         mcf = MinusCF.from_runs(mcf.runs[1:] + mcf.runs[:1])
     assert_dedekind_oracle(mcf)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_orbit_of_files_each_member_with_its_rotation_of_the_cycle(preset):
+    # a context walks each cycle once; every member's orbit is the cycle
+    # started at that member, as a walk from the member on a fresh context gives
+    checked = 0
+    for q in range(2, 12):
+        spec = get_preset(preset, q)
+        for n in range(spec.n_range[0], 9):
+            try:
+                ctx, fresh = instantiate(spec, n).ctx, instantiate(spec, n).ctx
+            except NonSquarefreeSkip:
+                continue
+            for member in f_delta(ctx):
+                assert ctx.orbit_of(member) == orbit(member, fresh)
+                checked += 1
+    assert checked > 1000
