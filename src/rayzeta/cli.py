@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .contfrac import NotReducedError
 from .family import (
@@ -26,10 +27,12 @@ from .family import (
     PRESETS,
     ResidueContext,
     VerificationError,
+    delta_trace_norm,
     denom_bounds_ok,
     fit_oracle,
     instantiate,
     k_to_n_form,
+    poly_eval,
     quasi_poly,
 )
 from .hecke import CharacterError, DirichletChar, hecke_L0_family
@@ -39,6 +42,7 @@ from .shintani import (
     LimitError,
     RayLabel,
     f_delta,
+    norm_form,
     partial_zeta0,
 )
 
@@ -371,6 +375,10 @@ def cmd_family(args) -> int:
     spec = family_from_args(args)
     ks = parse_k_range(args.k_range) if args.k_range is not None else range(0, 7)
     want = parse_label(args.label, spec.q) if args.label is not None else None
+    if want is not None and (polys := delta_trace_norm(spec)) and all(
+            gcd(norm_form(want.C, want.D, *(poly_eval(p, r) for p in polys)), spec.q) > 1
+            for r in range(spec.q)):
+        raise ConfigError(f"label {args.label} is not in F_delta at any residue")
     report = {
         "command": "family",
         "family": spec.name,

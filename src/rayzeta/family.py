@@ -15,9 +15,8 @@ special terms and the run kernel `shintani.progression_sum` along the runs of
 2s between them, the same two kernels `partial_zeta0` walks.
 
 The label side is residue-level too: `ResidueContext` holds that residue
-data once for every orbit member, and the unit's matrix mod q, lambda,
-F_delta, the orbits and the label norms mod q, on the integer route a
-`ConeContext` takes over Z.  The paper's norm invariance is decided exactly
+data once for every orbit member, and is the `shintani.LabelSpace` of every
+K_n with n = r mod q.  The paper's norm invariance is decided exactly
 by `delta_trace_norm`: the trace and norm of delta(n) either lie in Z[n],
 or the family is refused with a HypothesisError.  Fields are built only
 for the direct zeta values that check the closed forms.
@@ -47,18 +46,11 @@ from .contfrac import (
     s_indices,
 )
 from .exactmath import LimitError, Record, residue_one, term12
-from .quadfield import (
-    is_perfect_square,
-    is_squarefree,
-    squarefree_part,
-    unit_index_lambda,
-    unit_matrix,
-)
+from .quadfield import is_perfect_square, is_squarefree, squarefree_part, unit_matrix
 from .shintani import (
     ConeContext,
+    LabelSpace,
     RayLabel,
-    norm_form,
-    orbit,
     partial_zeta0,
     progression_sum,
     yamamoto_numerators,
@@ -334,47 +326,29 @@ def gamma_tau(spec: FamilySpec, r: int) -> tuple[list[int], list[int]]:
     return gammas, [(ai - g) // spec.q for ai, g in zip(values, gammas)]
 
 
-class ResidueContext:
-    """The label side of every field K_n of the family with n = r mod q: the
-    unit's matrix on [1, delta] mod q, lambda and the label norms mod q, and
-    so F_delta and the orbits through `shintani.f_delta` and `orbit`, which
-    it serves as a `ConeContext` would; and the residue data `coeffs_closed`
-    reads: `gammas`, `taus`, segment starts `Gammas`, the residue minus CF.
-
-    The matrix is `unit_matrix` of the residue minus CF mod q (mod q a run
-    of k 2s needs only k mod q).  Lambda and the norms take `ConeContext`'s
-    integer route, with tr and N of delta from `delta_trace_norm` at r.  No
-    field is built: the context checks its two `witnesses`, the first two
-    usable n of its table, and builds neither.  Raises HypothesisError when
-    tr and N of delta(n) are not in Z[n], when the scan refuses an n before
-    two usable ones (a wrong f, a term < 1), or when it holds fewer than
-    two; LimitError past the period limit.
+class ResidueContext(LabelSpace):
+    """The label space of every field K_n of the family with n = r mod q,
+    from the residue minus CF and tr, N of delta (`delta_trace_norm`) at r,
+    and the residue data `coeffs_closed` reads: `gammas`, `taus`, segment
+    starts `Gammas`, the residue minus CF.  No field is built: the context
+    checks its two `witnesses`, the first two usable n of its table, and
+    builds neither.  Raises HypothesisError when tr and N of delta(n) are not
+    in Z[n], when the scan refuses an n before two usable ones (a wrong f, a
+    term < 1), or when it holds fewer than two; LimitError past the period
+    limit.
     """
 
     def __init__(self, spec: FamilySpec, r: int):
-        q = self.q = spec.q
         self.spec, self.r = spec, r
         polys = decided_trace_norm(spec)
         self.fields = FieldTable(spec, r)
         self.witnesses = self.fields.first_ns(2)
-        self.trace_norm = tuple(poly_eval(p, r) % q for p in polys)  # of delta mod q
         self.gammas, self.taus = gamma_tau(spec, r)
         rcf = PeriodicCF(tuple(self.gammas))
         self.Gammas = s_indices(rcf)
         self.mcf = plus_to_minus(rcf)
-        self.matrix = tuple(tuple(e % q for e in row) for row in unit_matrix(self.mcf.runs))
-        self.lam = unit_index_lambda(self.matrix, q)
-
-    def norm_of(self, label: RayLabel) -> int:
-        """The norm of (C + D*delta(n))*b mod q, the same for every n = r mod q."""
-        C, D, _ = label
-        return norm_form(C, D, *self.trace_norm) % self.q
-
-    def act(self, label: RayLabel) -> RayLabel:
-        """The label's image under the unit, as `shintani.eps_act` gives it."""
-        (a, b), (c, d) = self.matrix
-        C, D, q = label
-        return RayLabel((a * C + b * D) % q, (c * C + d * D) % q, q)
+        trace_norm = tuple(poly_eval(p, r) % spec.q for p in polys)  # of delta mod q
+        super().__init__(spec.q, trace_norm, unit_matrix(self.mcf.runs))
 
 
 def A_im(spec: FamilySpec, i: int, m: int, r: int) -> int:
@@ -536,7 +510,7 @@ def quasi_poly(
     built here if not given.
     """
     rctx = rctx or ResidueContext(spec, r)
-    parts = [coeffs_closed(rctx, member) for member in orbit(label, rctx)]
+    parts = [coeffs_closed(rctx, member) for member in rctx.orbit_of(label)]
     coeffs = [sum(column, Fraction(0)) for column in zip(*parts)]
     poly = QuasiPoly(spec.q, spec.d, "k", {(r, i): c for i, c in enumerate(coeffs)})
     for inst in map(rctx.fields.field, rctx.witnesses):

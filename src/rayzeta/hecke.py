@@ -3,7 +3,8 @@ ray-class partial zeta values.
 
 L-values are kept as exact formal sums over character-value symbols
 [chi(a)]; a complex rendering (root-of-unity substitution) is provided for
-display only.
+display only.  Orbit representatives come from the `orbit_of` memo of a
+field's or a residue's `shintani.LabelSpace`, so the sums walk no cycle again.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .family import (
     VerificationError,
     quasi_poly,
 )
-from .shintani import ConeContext, RayLabel, f_delta, orbit, partial_zeta0
+from .shintani import ConeContext, LabelSpace, RayLabel, f_delta, partial_zeta0
 
 
 class CharacterError(ValueError):
@@ -148,13 +149,12 @@ def ray_char_value(chi: DirichletChar, ideal_norm: int) -> int | None:
     return a if gcd(a, chi.modulus) == 1 else None
 
 
-def orbit_representatives(ctx) -> list[RayLabel]:
-    """One representative per unit orbit of F_delta, in lexicographic order,
-    on a `ConeContext` or a `family.ResidueContext`."""
+def orbit_representatives(ctx: LabelSpace) -> list[RayLabel]:
+    """One representative per unit orbit of F_delta, in lexicographic order."""
     reps, seen = [], set()
     for label in f_delta(ctx):
         if label not in seen:
-            seen.update(orbit(label, ctx))
+            seen.update(ctx.orbit_of(label))
             reps.append(label)
     return reps
 

@@ -2,20 +2,20 @@
 the unit action and its orbits, boundary lattice points, the Yamamoto
 fractional-coordinate recursion, and exact partial zeta values at s = 0.
 
-Everything a context needs is built run by run from the field's plus CF.
-A minus CF is a few terms > 2 separated by runs of 2s; a context reads it
-off the plus period by the index rule `contfrac.plus_to_minus`, as runs
-(b, k), in O(s), as `family.ResidueContext` reads its residue minus CF, and
-takes tr delta and N delta on integers from the period's `fixed_point`.
-From the runs it takes the unit's integer matrix (`quadfield.unit_matrix`:
-a run of 2s is one arithmetic step), checked against tr and N, its series
-steps (`series_steps`) and the lambda*m cap: O(runs), not O(m).  Lambda,
-every label norm mod q (`norm_form`) and the checks of delta and the unit
-are on integers; only the unit action `eps_act` runs on `Fraction`s.  Inside
-a run of 2s the Yamamoto numerators form an arithmetic progression mod q, so
+zeta(0) depends only on the ray class, so a field (`ConeContext`) and a
+residue r mod q (`family.ResidueContext`) share one label space,
+`LabelSpace`: F_delta from the label norms mod q (`norm_form`), lambda, and
+the orbits of the unit's integer matrix mod q, each cycle walked once
+(`orbit_of`).  Only `ConeContext.act` differs: it acts by `eps_act` on
+`Fraction`s.  A `ConeContext` reads its minus CF off the plus period by the
+index rule `contfrac.plus_to_minus`, as runs (b, k), in O(s), and tr delta
+and N delta on integers from the period's `fixed_point`.  From the runs it
+takes the unit's matrix (`quadfield.unit_matrix`: a run of 2s is one
+arithmetic step), checked against tr and N, its series steps
+(`series_steps`) and the lambda*m cap: O(runs), not O(m).  Inside a run of
+2s the Yamamoto numerators form an arithmetic progression mod q, so
 `progression_sum` adds a run of any length in O(q); `term12` remains the
-per-term kernel.  A context walks each unit orbit once (`orbit_of`), so a
-command over all of F_delta makes |F_delta| unit actions, not |F_delta|*lambda.
+per-term kernel.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .contfrac import (
 )
 from .exactmath import LimitError, Record, frac_unit, residue_one, residue_zero, term12
 from .quadfield import (
+    Matrix,
     ModuleBasis,
     QuadElem,
     coords_in_basis,
@@ -78,52 +79,19 @@ def norm_form(C: int, D: int, tr: int, nm: int) -> int:
     return C * C + C * D * tr + D * D * nm
 
 
-class ConeContext:
-    """Everything needed to evaluate partial zeta values on one field, given
-    by the purely periodic plus CF `cf` of delta - 1 and its radicand: built
-    by `__post_init__` as `family.ResidueContext` is built, it holds the
-    minus CF `mcf` (`plus_to_minus` of the primitive period), its series
-    `steps`, delta's `trace_norm` (from `fixed_point`), the unit `eps` and
-    its index `lam`.  The basis delta and `eps` serve `act` and the oracles.
+class LabelSpace:
+    """F_delta with the unit acting on it, as one field or every K_n with
+    n = r mod q sees it: from q, delta's `trace_norm` (over Z or mod q) and
+    the unit's `unit_matrix` on [1, delta], kept mod q with its index `lam`;
+    `orbit_of` walks each cycle of `act` once."""
 
-    The integral ideal b with b^{-1} = [1, delta] is taken to be O_K.
-    """
+    __slots__ = ("q", "trace_norm", "matrix", "lam", "_orbits")
 
-    __slots__ = ("cf", "basis", "q", "mcf", "steps", "eps", "lam", "trace_norm", "_orbits")
-
-    def __init__(self, cf: PeriodicCF, radicand: int, q: int):
-        self.cf, self.q, self._orbits = cf, q, {}
-        self.__post_init__(radicand)
-
-    def __post_init__(self, radicand: int):
-        raw = os.environ.get("RAYZETA_MAX_TERMS", str(MAX_TERMS_DEFAULT))
-        try:
-            max_terms = int(raw)
-        except ValueError:
-            raise LimitError(f"RAYZETA_MAX_TERMS={raw!r} is not an integer") from None
-        if self.q < 2:
-            raise LabelError("q must be >= 2")
-        cf = PeriodicCF(primitive_period(self.cf.terms))
-        # delta = x + 1 for x = [[cf]], the root of A x^2 + B x + C = 0
-        A, B, C = fixed_point(cf.terms)
-        (tr, bad_tr), (nm, bad_nm) = divmod(2 * A - B, A), divmod(A - B + C, A)
-        if bad_tr or bad_nm:
-            raise LabelError("(C+D*delta)*b is not integral; basis data malformed")
-        self.trace_norm = tr, nm
-        self.basis = ModuleBasis(cf_value(self.cf, radicand) + 1, self.trace_norm)
-        self.mcf = plus_to_minus(cf)
-        matrix = unit_matrix(self.mcf.runs)
-        self.eps = fundamental_unit_totally_positive(self.basis, matrix)
-        # eps*delta = b + d*delta with eps = a + c*delta and delta^2 = tr*delta - nm
+    def __init__(self, q: int, trace_norm: tuple[int, int], matrix: Matrix):
         (a, b), (c, d) = matrix
-        if d - a != tr * c or -b != nm * c:
-            raise InternalCheckError("the unit's matrix disagrees with delta's trace and norm")
-        self.lam = unit_index_lambda(matrix, self.q)
-        if self.lam * self.mcf.m > max_terms:
-            raise LimitError(
-                f"lambda*m = {self.lam * self.mcf.m} exceeds cap {max_terms}"
-            )
-        self.steps = series_steps(self.mcf.runs)
+        self.q, self.trace_norm, self._orbits = q, trace_norm, {}
+        self.matrix = (a % q, b % q), (c % q, d % q)
+        self.lam = unit_index_lambda(self.matrix, q)
 
     def norm_of(self, label: RayLabel) -> int:
         """The norm of the integral ideal (C + D*delta)*b mod q."""
@@ -140,16 +108,64 @@ class ConeContext:
         return cycle[j:] + cycle[:j]
 
     def act(self, label: RayLabel) -> RayLabel:
-        """The label's image under the unit, `eps_act`."""
+        """The label's image under the unit: (C + D*delta)*eps = (aC + bD) +
+        (cC + dD)*delta for the matrix ((a, b), (c, d)), reduced mod q."""
+        (a, b), (c, d) = self.matrix
+        C, D, q = label
+        return RayLabel((a * C + b * D) % q, (c * C + d * D) % q, q)
+
+
+class ConeContext(LabelSpace):
+    """The label space of one field, given by the purely periodic plus CF
+    `cf` of delta - 1 and its radicand, built by `__post_init__`, and what
+    its series needs: the minus CF `mcf` (`plus_to_minus` of the primitive
+    period) and its `steps`; delta's `basis` and the unit `eps` serve `act`
+    and the oracles.  The ideal b with b^{-1} = [1, delta] is taken to be O_K.
+    """
+
+    __slots__ = ("cf", "basis", "mcf", "steps", "eps")
+
+    def __init__(self, cf: PeriodicCF, radicand: int, q: int):
+        self.cf, self.q = cf, q
+        self.__post_init__(radicand)
+
+    def __post_init__(self, radicand: int):
+        raw = os.environ.get("RAYZETA_MAX_TERMS", str(MAX_TERMS_DEFAULT))
+        try:
+            max_terms = int(raw)
+        except ValueError:
+            raise LimitError(f"RAYZETA_MAX_TERMS={raw!r} is not an integer") from None
+        if self.q < 2:
+            raise LabelError("q must be >= 2")
+        cf = PeriodicCF(primitive_period(self.cf.terms))
+        # delta = x + 1 for x = [[cf]], the root of A x^2 + B x + C = 0
+        A, B, C = fixed_point(cf.terms)
+        (tr, bad_tr), (nm, bad_nm) = divmod(2 * A - B, A), divmod(A - B + C, A)
+        if bad_tr or bad_nm:
+            raise LabelError("(C+D*delta)*b is not integral; basis data malformed")
+        self.basis = ModuleBasis(cf_value(self.cf, radicand) + 1, (tr, nm))
+        self.mcf = plus_to_minus(cf)
+        matrix = unit_matrix(self.mcf.runs)
+        self.eps = fundamental_unit_totally_positive(self.basis, matrix)
+        # eps*delta = b + d*delta with eps = a + c*delta and delta^2 = tr*delta - nm
+        (a, b), (c, d) = matrix
+        if d - a != tr * c or -b != nm * c:
+            raise InternalCheckError("the unit's matrix disagrees with delta's trace and norm")
+        super().__init__(self.q, (tr, nm), matrix)
+        if self.lam * self.mcf.m > max_terms:
+            raise LimitError(
+                f"lambda*m = {self.lam * self.mcf.m} exceeds cap {max_terms}"
+            )
+        self.steps = series_steps(self.mcf.runs)
+
+    def act(self, label: RayLabel) -> RayLabel:
+        """`eps_act` on `Fraction`s, equal to the matrix action (`verify` A4)."""
         return eps_act(self.eps, label, self.basis)
 
 
-def f_delta(ctx) -> list[RayLabel]:
+def f_delta(ctx: LabelSpace) -> list[RayLabel]:
     """All labels (C,D) != (0,0) in [0,q-1]^2 whose ideal norm is coprime to q,
-    in lexicographic order.
-
-    `ctx` is a `ConeContext` or any context with `q` and `norm_of`, such as
-    `family.ResidueContext`, whose norms are known mod q only."""
+    in lexicographic order."""
     q = ctx.q
     out = []
     for C in range(q):
@@ -172,12 +188,9 @@ def eps_act(eps: QuadElem, label: RayLabel, basis: ModuleBasis) -> RayLabel:
     return RayLabel(residue_zero(int(u), q), residue_zero(int(v), q), q)
 
 
-def orbit(label: RayLabel, ctx) -> list[RayLabel]:
+def orbit(label: RayLabel, ctx: LabelSpace) -> list[RayLabel]:
     """Orbit of the label under the unit action `ctx.act`, starting at the
-    seed; `ctx` is a `ConeContext` or a `family.ResidueContext`.
-
-    Its length always equals lambda = [E+ : E_q+].
-    """
+    seed.  Its length always equals lambda = [E+ : E_q+]."""
     members = [label]
     cur = ctx.act(label)
     while cur != label:

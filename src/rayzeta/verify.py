@@ -37,6 +37,7 @@ from .family import (
 from .hecke import DirichletChar, hecke_L0, hecke_L0_family, orbit_representatives
 from .quadfield import mult_matrix, unit_index_lambda
 from .shintani import (
+    LabelSpace,
     RayLabel,
     boundary_points,
     eps_act,
@@ -116,9 +117,9 @@ def check_yamamoto_vs_direct(n_max: int = 12, qs=(2, 3, 5)) -> int:
 
 
 def check_orbit_recursions(n_max: int = 12, qs=(2, 3, 5)) -> int:
-    """Unit action matches the per-family explicit label recursions; orbit
-    length equals lambda of `mult_matrix(eps)` on Fractions, a second route
-    to the context's `unit_matrix`; orbits at n and n+q coincide."""
+    """`eps_act` equals the per-family label recursions and `LabelSpace.act`;
+    orbit length equals lambda of `mult_matrix(eps)` on Fractions, a second
+    route to the context's `unit_matrix`; orbits at n and n+q coincide."""
     checked = 0
     for name in sorted(PRESETS):
         for q in qs:
@@ -132,7 +133,7 @@ def check_orbit_recursions(n_max: int = 12, qs=(2, 3, 5)) -> int:
                 for lab in f_delta(ctx):
                     img = eps_act(ctx.eps, lab, ctx.basis)
                     step = tuple(residue_zero(u * lab.C + v * lab.D, q) for u, v in action)
-                    if (img.C, img.D) != step:
+                    if (img.C, img.D) != step or LabelSpace.act(ctx, lab) != img:
                         raise Mismatch(f"{name} q={q} n={n} label ({lab.C},{lab.D})")
                     orb = orbit(lab, ctx)
                     if len(orb) != unit_index_lambda(mult_matrix(ctx.eps, ctx.basis), q):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,11 @@ PINNED_REPORTS = {
         "e3f8c9c8a37e5794ee7fc47d2390c4bde4c08016d9a85c3e4f21d33df99c7e34",
     "lfunc --preset quartic-16n4 --q 3 --char 3:2:2=1":
         "422597041ad8cd7ec4c750f0981eeedafd37ef9e8d681566373e6135eb5a9ab0",
+    # the reports whose orbit walks the shared label space changed most
+    "lfunc --preset rd-n2p2 --q 11":
+        "39d280084c7566772f860a4db7346bae98f446af768edb52df4e0ee68824ff14",
+    "lfunc --preset quartic-16n4 --q 7 --char 7:6:3=1":
+        "be8b3d250c177bae653540ebe8f8f5317f1e6ab78d16941733dc4acc917dd1f8",
 }
 
 
@@ -400,6 +406,45 @@ def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
     target = tmp_path / "missing" / "report.json"
     argv = ["zeta", "--preset", "rd-n2p2", "--n", "1", "--out", str(target)]
     assert run_err(capsys, argv) == EXIT_CONFIG
+
+
+def test_family_label_outside_every_f_delta_is_config_error(capsys, monkeypatch):
+    # N(2 + 0*delta(n)) = 4 is prime to q = 4 at no residue; that is decided
+    # from tr and N of delta at each r, before any residue context
+    def no_context(spec, r):
+        raise AssertionError("a residue context was built")
+
+    monkeypatch.setattr(cli, "ResidueContext", no_context)
+    code = main(["family", "--preset", "rd-n2p2", "--q", "4", "--label", "2,0"])
+    assert (code, *capsys.readouterr()) == (
+        EXIT_CONFIG, "", "error: label 2,0 is not in F_delta at any residue\n")
+
+
+def test_undecided_family_with_a_label_keeps_its_failure_rows(capsys):
+    argv = ["family", "--f-poly", "2,0,1", "--a-polys", "0,1;0,2", "--q", "3", "--label", "2,0"]
+    code, out = run(capsys, argv)
+    assert code == EXIT_HYPOTHESIS
+    assert json.loads(out)["failures"] == [{"r": r, "error": UNDECIDED} for r in range(3)]
+
+
+@pytest.mark.parametrize("command", ["lfunc --preset rd-n2p2 --q 11",
+                                     "family --preset quartic-16n4 --q 7"])
+def test_no_context_acts_on_a_label_twice(capsys, monkeypatch, command):
+    # each command walks each unit cycle once per context, field or residue,
+    # so a context makes at most |F_delta| unit actions
+    acts = Counter()
+    for cls in (shintani.LabelSpace, shintani.ConeContext):
+        def counted(ctx, label, act=vars(cls)["act"]):
+            acts[ctx, label] += 1
+            return act(ctx, label)
+
+        monkeypatch.setattr(cls, "act", counted)
+    code, _ = run(capsys, command.split())
+    assert code == EXIT_OK
+    assert {type(ctx) for ctx, _ in acts} == {shintani.ConeContext, family.ResidueContext}
+    assert max(acts.values()) == 1
+    for ctx, count in Counter(ctx for ctx, _ in acts).items():
+        assert count <= len(shintani.f_delta(ctx))
 
 
 IMPORT_PROBE = """
