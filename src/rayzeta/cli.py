@@ -96,6 +96,8 @@ def parse_k_range(text: str) -> range:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
         raise ConfigError(f"bad k-range {text!r}") from None
+    if lo < 0:
+        raise ConfigError(f"k-range lower bound {lo} is negative: n = qk + r is never below 0")
     if hi < lo:
         raise ConfigError("k-range upper bound below lower bound")
     return range(lo, hi + 1)

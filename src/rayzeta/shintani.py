@@ -15,7 +15,8 @@ arithmetic step), checked against tr and N, its series steps
 (`series_steps`) and the lambda*m cap: O(runs), not O(m).  Inside a run of
 2s the Yamamoto numerators form an arithmetic progression mod q, so
 `progression_sum` adds a run of any length in O(q); `term12` remains the
-per-term kernel.
+per-term kernel.  `partial_zeta0` sums the lambda periods once and checks
+each period's end state against the label's orbit under `act`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .quadfield import (
 MAX_TERMS_DEFAULT = 10**6
 
 Step = tuple[int, int, int]  # (b_{j-1}, b_j, k): k series steps, see series_steps
+State = tuple[int, int]  # (X_{i-1}, X_i), Yamamoto numerators
 
 
 class LabelError(ValueError):
@@ -316,44 +318,39 @@ def series_steps(runs: tuple[Run, ...]) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def _series12(C: int, D: int, q: int, steps: tuple[Step, ...], periods: int) -> int:
-    """12q^2 times the sum over i = 1..periods*m of -B1(x_i)B1(x_{i-1}) +
-    (b_i/2)B2(x_i), on the Yamamoto numerators X_i = q*x_i from X_{-1} = q - C,
-    X_0 = <D>_q.  A run of k 2s is one `progression_sum` with step
+def _series12(state: State, q: int, steps: tuple[Step, ...]) -> tuple[int, State]:
+    """12q^2 times the sum over one period i = 1..m of -B1(x_i)B1(x_{i-1}) +
+    (b_i/2)B2(x_i), x_i = X_i/q from the state (X_{-1}, X_0), and the end state
+    (X_{m-1}, X_m).  A run of k 2s is one `progression_sum` with step
     d = <X_i - X_{i-1}>_q, after which the state jumps k places ahead."""
-    x_prev, x = q - C, residue_one(D, q)
+    x_prev, x = state
     total = 0
-    for _ in range(periods):
-        for b_prev, b, k in steps:
-            if k == 1:
-                x_prev, x = x, residue_one(b_prev * x - x_prev, q)
-                total += term12(b, x, x_prev, q)
-            else:
-                d = (x - x_prev) % q
-                total += progression_sum(k, d, x, q)
-                x_prev, x = residue_one(x + (k - 1) * d, q), residue_one(x + k * d, q)
-    return total
+    for b_prev, b, k in steps:
+        if k == 1:
+            x_prev, x = x, residue_one(b_prev * x - x_prev, q)
+            total += term12(b, x, x_prev, q)
+        else:
+            d = (x - x_prev) % q
+            total += progression_sum(k, d, x, q)
+            x_prev, x = residue_one(x + (k - 1) * d, q), residue_one(x + k * d, q)
+    return total, (x_prev, x)
 
 
 def partial_zeta0(ctx: ConeContext, label: RayLabel) -> Fraction:
-    """Exact zeta_q(0, (C+D*delta)*b).
-
-    Computed both as the single sum over i = 1..lambda*m and as the
-    orbit-decomposed double sum; the two integer numerators over 12q^2
-    must agree.  Both walk the context's run-length `steps`, so the cost is
-    O(lambda * steps * q), not O(lambda * m).  The label's norm and orbit
-    come from the context's memo.
-    """
+    """Exact zeta_q(0, (C+D*delta)*b): lambda periods of `_series12` from the
+    state (q - C, <D>_q), O(lambda * steps * q).  After period j the state must
+    be the start (q - C_j, <D_j>_q) of the j-th member eps^j (C, D) of the orbit
+    `ctx.orbit_of(label)`, and after lambda periods the label's own: the integer
+    recursion checked against the unit action at every period end."""
     if gcd(ctx.norm_of(label), ctx.q) != 1:
         raise LabelError("label lies outside F_delta")
     C, D, q = label
-    steps = ctx.steps
-    single = _series12(C, D, q, steps, ctx.lam)
-    by_orbit = sum(_series12(c, d, q, steps, 1) for c, d, _ in ctx.orbit_of(label))
-    denom = 12 * q * q
-    if by_orbit != single:
-        raise InternalCheckError(
-            f"orbit-decomposed sum {Fraction(by_orbit, denom)} differs from "
-            f"direct sum {Fraction(single, denom)}"
-        )
-    return Fraction(single, denom)
+    members = ctx.orbit_of(label)
+    state, total = (q - C, residue_one(D, q)), 0
+    for j, (c, d, _) in enumerate(members[1:] + members[:1], 1):
+        part, state = _series12(state, q, ctx.steps)
+        total += part
+        if state != (want := (q - c, residue_one(d, q))):
+            raise InternalCheckError(f"label ({C}, {D}) mod {q}: after period {j} the state "
+                                     f"{state} is not {want}, the start of member ({c}, {d})")
+    return Fraction(total, 12 * q * q)

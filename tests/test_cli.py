@@ -187,6 +187,14 @@ PINNED_REPORTS = {
         "39d280084c7566772f860a4db7346bae98f446af768edb52df4e0ee68824ff14",
     "lfunc --preset quartic-16n4 --q 7 --char 7:6:3=1":
         "be8b3d250c177bae653540ebe8f8f5317f1e6ab78d16941733dc4acc917dd1f8",
+    # long walks: lambda = 10 and 11 periods per label, and runs of 2s
+    # across the period ends of m = 601 with lambda = 4
+    "zeta --preset rd-n2p2 --q 11 --n 45":
+        "6820cc93f4ca5c7915dd6d0aee13225a5e56c21615ac86d106b6257f73f356de",
+    "zeta --preset rd-n2p2 --q 23 --n 45":
+        "587a488037960d2917632197fbb80fca1e16e2c7a8f894f330895cce6a13bc57",
+    "zeta --preset quartic-16n4 --q 7 --n 300":
+        "0e266f10f77f61c1a34ecddb2c015c4832cfbe2ffbf2c4de755fc5d33c31d0e1",
 }
 
 
@@ -806,6 +814,19 @@ def test_too_few_oracle_samples_is_one_failure_row_per_residue(capsys):
     assert report["rows"] == []
     assert report["failures"] == [
         {"r": r, "error": "need at least 3 squarefree samples, got 1"} for r in range(3)]
+
+
+@pytest.mark.parametrize("k_range", ["-9:-1", "-5:3"])
+def test_negative_k_range_is_config_error(capsys, k_range):
+    # n = qk + r < 0 is never a family member: a bad flag, neither a residue
+    # short of samples nor a row that skips k < 0
+    argv = ["family", "--preset", "rd-n2p2", "--q", "3", "--label", "1,0",
+            f"--k-range={k_range}"]
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    lo = k_range.split(":")[0]
+    assert (out, err) == ("", f"error: k-range lower bound {lo} is negative: "
+                              "n = qk + r is never below 0\n")
 
 
 def test_no_field_outlives_its_command(capsys, monkeypatch):

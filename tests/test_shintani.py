@@ -185,6 +185,25 @@ def test_context_checks_the_unit_matrix_against_trace_and_norm(monkeypatch):
         anchor_ctx()
 
 
+def test_partial_zeta_checks_each_period_end_against_the_orbit(monkeypatch):
+    # acting by eps^{-1}, the adjugate of the unit matrix mod q, keeps every
+    # orbit as a set and lambda = 10, and the total summed over the orbit;
+    # only the state after each period tells the direction of the walk
+    def inverse_act(self, label):
+        (a, b), (c, d) = self.matrix
+        C, D, q = label
+        return RayLabel((d * C - b * D) % q, (a * D - c * C) % q, q)
+
+    monkeypatch.setattr(ConeContext, "act", inverse_act)
+    ctx = instantiate(get_preset("rd-n2p2", 11), 45).ctx
+    labels = f_delta(ctx)
+    assert (ctx.lam, len(labels)) == (10, 100)
+    for lab in labels:
+        where = f"^label \\({lab.C}, {lab.D}\\) mod 11: after period 1 the state "
+        with pytest.raises(InternalCheckError, match=where):
+            partial_zeta0(ctx, lab)
+
+
 def yamamoto_single_sum(ctx, label):
     """Oracle: the single sum over i = 1..lambda*m on Fraction coordinates."""
     m = ctx.mcf.m
@@ -211,14 +230,15 @@ def test_partial_zeta_equals_fraction_sum_on_a3_grid(name):
 
 
 def per_term_series12(C, D, q, terms, count):
-    """Oracle: the series streamed one term at a time over i = 1..count."""
+    """Oracle: the series streamed one term at a time over i = 1..count, and
+    its last state (X_{count-1}, X_count)."""
     m = len(terms)
     x_prev, x = q - C, residue_one(D, q)
     total = 0
     for i in range(count):
         x_prev, x = x, residue_one(terms[i % m] * x - x_prev, q)
         total += term12(terms[(i + 1) % m], x, x_prev, q)
-    return total
+    return total, (x_prev, x)
 
 
 def test_progression_sum_equals_fraction_sum():
@@ -272,8 +292,12 @@ def test_run_length_series_equals_per_term_stream(cf, periods):
     for C in range(q):
         for D in range(q):
             if (C, D) != (0, 0):
+                total, state = 0, (q - C, residue_one(D, q))
+                for _ in range(periods):
+                    part, state = _series12(state, q, steps)
+                    total += part
                 want = per_term_series12(C, D, q, terms, periods * len(terms))
-                assert _series12(C, D, q, steps, periods) == want, (C, D)
+                assert (total, state) == want, (C, D)
 
 
 def per_term_series_steps(terms):
@@ -336,7 +360,8 @@ def assert_dedekind_oracle(mcf: MinusCF) -> None:
     if c <= 200:
         assert s == dedekind_sum_oracle(d, c)
     want = Fraction(a + d, c) - 12 * s - 3
-    assert _series12(0, 0, 1, series_steps(mcf.runs), 1) == want
+    # label (0, 0) at q = 1 is the state (1, 1), fixed by every period
+    assert _series12((1, 1), 1, series_steps(mcf.runs)) == (want, (1, 1))
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
