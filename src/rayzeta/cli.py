@@ -13,6 +13,8 @@ import argparse
 import csv
 import io
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 from functools import cache
@@ -311,9 +313,15 @@ def render_csv(report: dict) -> str:
 def emit(report: dict, args) -> None:
     text = render_csv(report) if args.format == "csv" else render_json(report)
     if args.out is not None:
+        # Overwritten in place, then cut to the report's length: on ext4 a
+        # file truncated to zero and refilled is flushed to disk when closed.
+        # A non-regular target (/dev/null, a pipe) cannot be truncated.
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                      encoding="utf-8") as fh:
                 fh.write(text)
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
         except OSError as e:
             raise ConfigError(f"cannot write {args.out}: {e}") from None
     else:
@@ -377,7 +385,8 @@ def cmd_family(args) -> int:
     spec = family_from_args(args)
     ks = parse_k_range(args.k_range) if args.k_range is not None else range(0, 7)
     want = parse_label(args.label, spec.q) if args.label is not None else None
-    if want is not None and (polys := delta_trace_norm(spec)) and all(
+    polys = delta_trace_norm(spec)  # None: each residue reports the family undecided
+    if want is not None and polys and all(
             gcd(norm_form(want.C, want.D, *(poly_eval(p, r) for p in polys)), spec.q) > 1
             for r in range(spec.q)):
         raise ConfigError(f"label {args.label} is not in F_delta at any residue")
@@ -393,7 +402,7 @@ def cmd_family(args) -> int:
     exit_code = EXIT_OK
     for r in range(spec.q):
         try:
-            rctx = ResidueContext(spec, r)
+            rctx = ResidueContext(spec, r, polys)
             for lab in f_delta(rctx):
                 if want is not None and lab != want:
                     continue

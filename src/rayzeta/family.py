@@ -332,15 +332,16 @@ class ResidueContext(LabelSpace):
     and the residue data `coeffs_closed` reads: `gammas`, `taus`, segment
     starts `Gammas`, the residue minus CF.  No field is built: the context
     checks its two `witnesses`, the first two usable n of its table, and
-    builds neither.  Raises HypothesisError when tr and N of delta(n) are not
-    in Z[n], when the scan refuses an n before two usable ones (a wrong f, a
-    term < 1), or when it holds fewer than two; LimitError past the period
+    builds neither.  `polys` is `delta_trace_norm(spec)` when the caller
+    already holds it.  Raises HypothesisError when tr and N of delta(n) are
+    not in Z[n], when the scan refuses an n before two usable ones (a wrong f,
+    a term < 1), or when it holds fewer than two; LimitError past the period
     limit.
     """
 
-    def __init__(self, spec: FamilySpec, r: int):
+    def __init__(self, spec: FamilySpec, r: int, polys=None):
         self.spec, self.r = spec, r
-        polys = decided_trace_norm(spec)
+        polys = polys or decided_trace_norm(spec)
         self.fields = FieldTable(spec, r)
         self.witnesses = self.fields.first_ns(2)
         self.gammas, self.taus = gamma_tau(spec, r)

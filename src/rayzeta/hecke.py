@@ -18,6 +18,7 @@ from .family import (
     FamilySpec,
     ResidueContext,
     VerificationError,
+    decided_trace_norm,
     quasi_poly,
 )
 from .shintani import ConeContext, LabelSpace, RayLabel, f_delta, partial_zeta0
@@ -200,9 +201,10 @@ def hecke_L0_family(spec: FamilySpec, chi: DirichletChar) -> LValueQuasiPoly:
     """
     if chi.modulus != spec.q:
         raise CharacterError("character modulus must equal q")
+    polys = decided_trace_norm(spec)
     out: dict[int, list[CharSpanValue]] = {}
     for r in range(spec.q):
-        rctx = ResidueContext(spec, r)
+        rctx = ResidueContext(spec, r, polys)
         witness = rctx.fields.field(rctx.witnesses[0])
         vecs = [CharSpanValue.zero() for _ in range(spec.d + 1)]
         for rep in orbit_representatives(rctx):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -289,6 +290,60 @@ def test_out_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert json.loads(target.read_text())["Delta"] == 3
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_cuts_a_longer_report_to_the_new_length(tmp_path, capsys, fmt):
+    # the short report is written over the start of the long one; what is
+    # left of the long one past its end must go
+    target = tmp_path / "report"
+    long = ["zeta", "--preset", "quartic-16n4", "--q", "7", "--n", "300", "--out", str(target)]
+    short = ["zeta", "--preset", "rd-n2p2", "--q", "3", "--n", "3", "--format", fmt]
+    assert run(capsys, long) == (EXIT_OK, "")
+    assert run(capsys, [*short, "--out", str(target)]) == (EXIT_OK, "")
+    code, out = run(capsys, short)
+    assert code == EXIT_OK and target.read_bytes() == out.encode("utf-8")
+    if fmt == "json":
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            PINNED_REPORTS["zeta --preset rd-n2p2 --q 3 --n 3"])
+
+
+def test_out_is_never_truncated_to_zero_on_open(tmp_path, capsys, monkeypatch):
+    # a file cut to zero and refilled is flushed to disk on close (ext4),
+    # which made the write the largest single cost of a zeta job
+    flags = []
+    os_open = os.open
+
+    def recording(path, flag, *mode):
+        flags.append(flag)
+        return os_open(path, flag, *mode)
+
+    monkeypatch.setattr(os, "open", recording)
+    argv = ["zeta", "--preset", "rd-n2p2", "--q", "3", "--n", "3", "--out", str(tmp_path / "r")]
+    assert run(capsys, argv) == (EXIT_OK, "")
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
+
+
+def test_out_to_the_null_device_exits_0(capsys):
+    argv = ["zeta", "--preset", "rd-n2p2", "--q", "3", "--n", "3", "--out", os.devnull]
+    assert run(capsys, argv) == (EXIT_OK, "")
+
+
+def test_out_to_a_fifo_receives_the_stdout_bytes(tmp_path, capsys):
+    # a FIFO cannot be truncated (EINVAL): it is written as it is
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    argv = ["lfunc", "--preset", "rd-n2p2", "--q", "3"]
+    code = main([*argv, "--out", str(fifo)])
+    reader.join(timeout=30)
+    if reader.is_alive():  # the FIFO was never opened: let the reader see EOF
+        open(fifo, "wb").close()
+        reader.join()
+    assert (code, capsys.readouterr().out) == (EXIT_OK, "")
+    assert received == [run(capsys, argv)[1].encode("utf-8")]
 
 
 def test_render_json_sorted_keys():
@@ -752,6 +807,27 @@ def test_each_n_is_decided_once_per_command(capsys, monkeypatch, argv):
     assert code == EXIT_OK
     assert calls and max(calls.values()) == 1
     assert {name for name, _ in calls} == {"checked_terms"}
+
+
+@pytest.mark.parametrize("argv", [
+    "family --preset rd-n2p2 --q 5 --label 1,0",
+    "family --preset quartic-16n4 --q 3",
+    "lfunc --preset rd-n2p2 --q 5 --char 5:4:2=1",
+])
+def test_trace_and_norm_are_decided_once_per_command(capsys, monkeypatch, argv):
+    # the residue contexts and the label check share one decision
+    calls = []
+    delta_trace_norm = family.delta_trace_norm
+
+    def counted(spec):
+        calls.append(spec)
+        return delta_trace_norm(spec)
+
+    monkeypatch.setattr(family, "delta_trace_norm", counted)
+    monkeypatch.setattr(cli, "delta_trace_norm", counted)
+    code, _ = run(capsys, argv.split())
+    assert code == EXIT_OK
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("faults", [("mismatch", "refusal"), ("refusal", "mismatch")])
