@@ -17,7 +17,7 @@ from .family import (
     norm_invariance_check,
     quasi_poly,
 )
-from .hecke import CharSpanValue, DirichletChar, hecke_L0, hecke_L0_family
+from .hecke import DirichletChar, hecke_L0, hecke_L0_family
 from .quadfield import (
     ModuleBasis,
     QuadElem,

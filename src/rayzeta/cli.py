@@ -434,7 +434,7 @@ def cmd_family(args) -> int:
 def cmd_lfunc(args) -> int:
     spec = family_from_args(args)
     chi = DirichletChar.trivial(spec.q) if args.char is None else parse_char(args.char, spec.q)
-    lqp = hecke_L0_family(spec, chi)
+    sums = hecke_L0_family(spec)
     report = {
         "command": "lfunc",
         "family": spec.name,
@@ -447,13 +447,14 @@ def cmd_lfunc(args) -> int:
         },
         "rows": [],
     }
-    for r in sorted(lqp.coeffs):
-        for i, vec in enumerate(lqp.coeffs[r]):
-            approx = vec.to_complex(chi)
+    for r in range(spec.q):
+        for i in range(spec.d + 1):
+            coeff = {a: c for a, qp in sums.items() if (c := qp.coeff(r, i))}
+            approx = chi.approx(coeff)
             report["rows"].append({
                 "r": r,
                 "power": i,
-                "coeff": {f"chi({a})": c for a, c in vec.terms},
+                "coeff": {f"chi({a})": c for a, c in coeff.items()},
                 "approx_re": repr(approx.real),
                 "approx_im": repr(approx.imag),
                 "approx_precision": "float64 (approximate)",

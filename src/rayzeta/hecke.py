@@ -1,10 +1,13 @@
 """Dirichlet characters mod q and Hecke L-values at s = 0 assembled from
 ray-class partial zeta values.
 
-L-values are kept as exact formal sums over character-value symbols
-[chi(a)]; a complex rendering (root-of-unity substitution) is provided for
-display only.  Orbit representatives come from the `orbit_of` memo of a
-field's or a residue's `shintani.LabelSpace`, so the sums walk no cycle again.
+The exact part of L(0, chi) does not depend on chi: it is the sum Z_a of
+the partial zeta values over the ray classes of norm a mod q, so
+L(0, chi) = sum_a chi(a) * Z_a.  A field's Z_a are a plain dict a -> Z_a,
+and a family's are one quasi-polynomial per a; the character enters only in
+`DirichletChar.approx`, a complex rendering for display.  Orbit
+representatives come from the `orbit_of` memo of a field's or a residue's
+`shintani.LabelSpace`, so the sums walk no cycle again.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from math import gcd
 from .exactmath import Record, residue_zero
 from .family import (
     FamilySpec,
+    QuasiPoly,
     ResidueContext,
     VerificationError,
     decided_trace_norm,
@@ -93,61 +97,15 @@ class DirichletChar(Record):
             return None
         return dict(self.exps)[a]
 
-
-class CharSpanValue:
-    """Formal sum sum_a c_a * [chi(a)] with exact rational c_a, a a unit mod q;
-    never mutated.  A plain class, not a tuple, so `+` is never concatenation."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[int, Fraction], ...]):
-        self.terms = terms  # sorted, zero coefficients dropped
-
-    def __eq__(self, other):
-        if not isinstance(other, CharSpanValue):
-            return NotImplemented
-        return self.terms == other.terms
-
-    @classmethod
-    def from_dict(cls, d: dict[int, Fraction]) -> "CharSpanValue":
-        return cls(tuple(sorted((a, c) for a, c in d.items() if c != 0)))
-
-    @classmethod
-    def zero(cls) -> "CharSpanValue":
-        return cls(())
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.terms)
-
-    def __add__(self, other: "CharSpanValue") -> "CharSpanValue":
-        d = self.as_dict()
-        for a, c in other.terms:
-            d[a] = d.get(a, Fraction(0)) + c
-        return CharSpanValue.from_dict(d)
-
-    def scale(self, c) -> "CharSpanValue":
-        c = Fraction(c)
-        return CharSpanValue.from_dict({a: v * c for a, v in self.terms})
-
-    def to_complex(self, chi: DirichletChar) -> complex:
-        """Approximate complex value; rendering only, never fed back into
-        exact computations."""
+    def approx(self, sums: dict[int, Fraction]) -> complex:
+        """Approximate sum_a chi(a) * sums[a], added in ascending a; rendering
+        only, never fed back into exact computations."""
         total = 0j
-        for a, c in self.terms:
-            e = chi.exponent(a)
-            if e is None:
-                continue
-            total += float(c) * cmath.exp(2j * cmath.pi * e / chi.order)
+        for a, c in sorted(sums.items()):
+            e = self.exponent(a)
+            if e is not None:
+                total += float(c) * cmath.exp(2j * cmath.pi * e / self.order)
         return total
-
-
-def ray_char_value(chi: DirichletChar, ideal_norm: int) -> int | None:
-    """Symbol index for chi(N(ideal)), from the norm or its residue mod q:
-    that residue, or None for the zero symbol (norm not coprime to q)."""
-    if ideal_norm <= 0:
-        raise ValueError("ideal norm must be positive")
-    a = residue_zero(ideal_norm, chi.modulus)
-    return a if gcd(a, chi.modulus) == 1 else None
 
 
 def orbit_representatives(ctx: LabelSpace) -> list[RayLabel]:
@@ -160,65 +118,41 @@ def orbit_representatives(ctx: LabelSpace) -> list[RayLabel]:
     return reps
 
 
-def hecke_L0(ctx: ConeContext, chi: DirichletChar) -> CharSpanValue:
-    """L(chi, 0, b) as a formal sum: over one representative per orbit,
-    chi(norm of (C+D*delta)*b) times the partial zeta value at 0."""
-    if chi.modulus != ctx.q:
-        raise CharacterError("character modulus must equal q")
-    total: dict[int, Fraction] = {}
+def hecke_L0(ctx: ConeContext) -> dict[int, Fraction]:
+    """Per norm residue a mod q, the sum Z_a of the partial zeta values at 0
+    over one representative per orbit with norm a; zero sums are dropped.
+    L(0, chi) = sum_a chi(a) * Z_a for every character chi mod q."""
+    sums: dict[int, Fraction] = {}
     for rep in orbit_representatives(ctx):
-        sym = ray_char_value(chi, ctx.norm_of(rep))
-        if sym is None:
-            continue  # cannot happen for labels in F_delta
-        total[sym] = total.get(sym, Fraction(0)) + partial_zeta0(ctx, rep)
-    return CharSpanValue.from_dict(total)
+        a = ctx.norm_of(rep)
+        sums[a] = sums.get(a, Fraction(0)) + partial_zeta0(ctx, rep)
+    return {a: c for a, c in sorted(sums.items()) if c}
 
 
-class LValueQuasiPoly:
-    """Per residue r, coefficient vectors (powers of k) of formal char-span sums."""
+def hecke_L0_family(spec: FamilySpec) -> dict[int, QuasiPoly]:
+    """Per norm residue a, the k-form quasi-polynomial of the family's Z_a,
+    with every (r, i) coefficient present.
 
-    __slots__ = ("spec", "chi", "coeffs")
-
-    def __init__(self, spec: FamilySpec, chi: DirichletChar,
-                 coeffs: dict[int, list[CharSpanValue]]):  # r -> [power 0 .. d]
-        self.spec, self.chi, self.coeffs = spec, chi, coeffs
-
-    def evaluate(self, n: int) -> CharSpanValue:
-        r = n % self.spec.q
-        k = (n - r) // self.spec.q
-        out = CharSpanValue.zero()
-        for i, v in enumerate(self.coeffs[r]):
-            out = out + v.scale(Fraction(k**i))
-        return out
-
-
-def hecke_L0_family(spec: FamilySpec, chi: DirichletChar) -> LValueQuasiPoly:
-    """Quasi-polynomial (in k, per residue r) of the family's L-values at 0.
-
-    The representatives, their character symbols and the fields come from
-    each residue's `ResidueContext`; every residue is verified exactly
-    against an L-value assembled directly on its first witness field.
+    The representatives, their norms and the fields come from each residue's
+    `ResidueContext`; every residue is verified exactly against `hecke_L0`
+    on its first witness field.
     """
-    if chi.modulus != spec.q:
-        raise CharacterError("character modulus must equal q")
     polys = decided_trace_norm(spec)
-    out: dict[int, list[CharSpanValue]] = {}
+    keys = [(r, i) for r in range(spec.q) for i in range(spec.d + 1)]
+    sums: dict[int, QuasiPoly] = {}
     for r in range(spec.q):
         rctx = ResidueContext(spec, r, polys)
         witness = rctx.fields.field(rctx.witnesses[0])
-        vecs = [CharSpanValue.zero() for _ in range(spec.d + 1)]
         for rep in orbit_representatives(rctx):
-            sym = ray_char_value(chi, rctx.norm_of(rep))
-            if sym is None:
-                continue
             qp = quasi_poly(spec, rep, r, rctx)
+            a = rctx.norm_of(rep)
+            if a not in sums:
+                sums[a] = QuasiPoly(spec.q, spec.d, "k", dict.fromkeys(keys, Fraction(0)))
             for i in range(spec.d + 1):
-                vecs[i] = vecs[i] + CharSpanValue.from_dict({sym: qp.coeff(r, i)})
-        out[r] = vecs
-        lqp = LValueQuasiPoly(spec, chi, {r: vecs})
-        direct = hecke_L0(witness.ctx, chi)
-        if lqp.evaluate(witness.n) != direct:
+                sums[a].coeffs[r, i] += qp.coeff(r, i)
+        values = {a: qp.evaluate(witness.n) for a, qp in sums.items()}
+        if {a: v for a, v in values.items() if v} != hecke_L0(witness.ctx):
             raise VerificationError(
                 f"family L-value at n={witness.n} disagrees with direct assembly"
             )
-    return LValueQuasiPoly(spec, chi, out)
+    return dict(sorted(sums.items()))

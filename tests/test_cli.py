@@ -188,6 +188,11 @@ PINNED_REPORTS = {
         "39d280084c7566772f860a4db7346bae98f446af768edb52df4e0ee68824ff14",
     "lfunc --preset quartic-16n4 --q 7 --char 7:6:3=1":
         "be8b3d250c177bae653540ebe8f8f5317f1e6ab78d16941733dc4acc917dd1f8",
+    # CSV writes each coeff through json.dumps, JSON through _json_text
+    "lfunc --preset rd-n2p2 --q 5 --char 5:4:2=1 --format csv":
+        "b73b90816541742945041c2e6a594dcf477b257d4d8ae6cd45cba42d2f6f553d",
+    "lfunc --preset quartic-16n4 --q 7 --char 7:6:3=1 --format csv":
+        "319e1828b45cce01d95a8c0e8b38ce0eef6bb29d3d344643019c47e2e9f4cde8",
     # long walks: lambda = 10 and 11 periods per label, and runs of 2s
     # across the period ends of m = 601 with lambda = 4
     "zeta --preset rd-n2p2 --q 11 --n 45":
@@ -254,6 +259,32 @@ def test_lfunc_order4_symbols(capsys):
         keys.update(row["coeff"])
         assert row["approx_precision"].endswith("(approximate)")
     assert keys <= {"chi(1)", "chi(2)", "chi(3)", "chi(4)"}
+
+
+def test_lfunc_exact_columns_do_not_depend_on_the_character(capsys):
+    # the character enters only the approx columns: the r, power and coeff
+    # columns are the norm-class sums, the same for every character mod q
+    columns = []
+    for char in ("trivial", "5:4:2=1", "5:4:2=3", "5:2:2=1"):
+        code, out = run(capsys, ["lfunc", "--preset", "rd-n2p2", "--q", "5",
+                                 "--char", char])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        columns.append([(row["r"], row["power"], row["coeff"]) for row in report["rows"]])
+    assert all(rows == columns[0] for rows in columns)
+    assert len(columns[0]) == 5 * (report["degree"] + 1)
+
+
+def test_lfunc_zero_rows_have_no_symbols(capsys):
+    code, out = run(capsys, ["lfunc", "--preset", "rd-n2p2", "--q", "5",
+                             "--char", "5:4:2=1"])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    rows = [row for row in report["rows"] if row["r"] == 0]
+    assert [row["power"] for row in rows] == list(range(report["degree"] + 1))
+    assert rows[0]["coeff"] == {}
+    assert (rows[0]["approx_re"], rows[0]["approx_im"]) == ("0.0", "0.0")
+    assert all(row["coeff"] for row in rows[1:])
 
 
 def test_malformed_char_is_config_error(capsys):

@@ -1,5 +1,6 @@
 """Tests for Dirichlet characters and Hecke L-value assembly at s = 0."""
 
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,11 @@ from rayzeta import hecke
 from rayzeta.cli import EXIT_INTERNAL, main
 from rayzeta.family import PRESETS, VerificationError, first_instances, instantiate
 from rayzeta.hecke import (
-    CharSpanValue,
     CharacterError,
     DirichletChar,
     hecke_L0,
     hecke_L0_family,
     orbit_representatives,
-    ray_char_value,
 )
 from rayzeta.shintani import f_delta, orbit, partial_zeta0
 
@@ -63,28 +62,22 @@ def test_modulus_below_two_is_a_character_error():
         DirichletChar.from_generators(1, 1, {})
 
 
-def test_char_span_arithmetic():
-    a = CharSpanValue.from_dict({1: Fraction(1, 2), 2: Fraction(-1, 3)})
-    b = CharSpanValue.from_dict({2: Fraction(1, 3), 3: Fraction(5)})
-    total = a + b
-    assert total.as_dict() == {1: Fraction(1, 2), 3: Fraction(5)}
-    assert total.scale(Fraction(2)).as_dict() == {1: Fraction(1), 3: Fraction(10)}
-    assert CharSpanValue.zero() + a == a
-
-
-def test_to_complex_of_trivial_sum():
+def test_approx_of_trivial_sum():
     chi = DirichletChar.trivial(5)
-    v = CharSpanValue.from_dict({1: Fraction(1, 4), 2: Fraction(1, 4)})
-    z = v.to_complex(chi)
+    z = chi.approx({1: Fraction(1, 4), 2: Fraction(1, 4)})
     assert abs(z - 0.5) < 1e-12
 
 
-def test_ray_char_value_is_norm_residue():
+def test_approx_adds_in_ascending_residue():
+    # float addition is not associative: the rendered digits depend on the
+    # order, which is ascending a whatever the order of the dict
     chi = order4_mod5()
-    assert ray_char_value(chi, 7) == 2
-    assert ray_char_value(chi, 10) is None
-    with pytest.raises(ValueError):
-        ray_char_value(chi, 0)
+    sums = {4: Fraction(1, 3), 1: Fraction(1, 10), 3: Fraction(-2, 7), 2: Fraction(5, 9)}
+    want = 0j
+    for a in (1, 2, 3, 4):
+        want += float(sums[a]) * cmath.exp(2j * cmath.pi * chi.exponent(a) / 4)
+    assert chi.approx(sums) == want
+    assert chi.approx(dict(sorted(sums.items()))) == want
 
 
 def test_orbit_representatives_partition_f_delta():
@@ -98,49 +91,55 @@ def test_orbit_representatives_partition_f_delta():
 
 def test_hecke_L0_trivial_is_sum_of_partial_zetas():
     ctx = instantiate(PRESETS["rd-n2p2"].with_q(2), 1).ctx
-    chi = DirichletChar.trivial(2)
-    value = hecke_L0(ctx, chi)
     total = sum(
         (partial_zeta0(ctx, rep) for rep in orbit_representatives(ctx)), Fraction(0)
     )
-    assert value.as_dict() == ({1: total} if total else {})
+    assert hecke_L0(ctx) == ({1: total} if total else {})
 
 
-def test_hecke_L0_modulus_mismatch():
-    ctx = instantiate(PRESETS["rd-n2p2"].with_q(2), 1).ctx
-    with pytest.raises(CharacterError):
-        hecke_L0(ctx, order4_mod5())
+def test_hecke_L0_keys_are_the_norm_residues_of_the_representatives():
+    for name, q in (("rd-n2p2", 5), ("quartic-16n4", 7)):
+        ctx = instantiate(PRESETS[name].with_q(q), 1).ctx
+        reps = orbit_representatives(ctx)
+        sums = hecke_L0(ctx)
+        assert set(sums) == {ctx.norm_of(rep) for rep in reps}
+        for a, value in sums.items():
+            assert value == sum(partial_zeta0(ctx, rep) for rep in reps
+                                if ctx.norm_of(rep) == a)
 
 
 def test_hecke_family_interpolates_direct_values():
     spec = PRESETS["rd-n2p2"].with_q(5)
-    chi = order4_mod5()
-    lqp = hecke_L0_family(spec, chi)
+    sums = hecke_L0_family(spec)
     for r in range(spec.q):
         for inst in first_instances(spec, r, spec.d + 2):
-            assert lqp.evaluate(inst.n) == hecke_L0(inst.ctx, chi)
+            values = {a: qp.evaluate(inst.n) for a, qp in sums.items()}
+            assert {a: v for a, v in values.items() if v} == hecke_L0(inst.ctx)
 
 
 def test_hecke_family_symbols_are_unit_residues():
     spec = PRESETS["rd-n2p2"].with_q(5)
-    lqp = hecke_L0_family(spec, order4_mod5())
-    symbols = set()
-    for vec in lqp.coeffs[1]:
-        symbols.update(vec.as_dict())
-    assert symbols <= {1, 2, 3, 4}
-    assert symbols  # at least one nonzero coefficient
+    sums = hecke_L0_family(spec)
+    assert set(sums) <= {1, 2, 3, 4}
+    assert any(qp.coeff(1, i) for qp in sums.values() for i in range(spec.d + 1))
+    for qp in sums.values():  # k-form, with every (r, i) coefficient present
+        assert (qp.q, qp.degree, qp.form) == (5, spec.d, "k")
+        assert set(qp.coeffs) == {(r, i) for r in range(5) for i in range(spec.d + 1)}
 
 
 def test_hecke_family_mismatch_is_a_verification_error(monkeypatch, capsys):
     # a direct L-value that is off by 1 must stop the family assembly
     direct = hecke.hecke_L0
-    monkeypatch.setattr(
-        hecke, "hecke_L0",
-        lambda ctx, chi: direct(ctx, chi) + CharSpanValue.from_dict({1: Fraction(1)}))
+
+    def off_by_one(ctx):
+        sums = direct(ctx)
+        return {**sums, 1: sums.get(1, Fraction(0)) + 1}
+
+    monkeypatch.setattr(hecke, "hecke_L0", off_by_one)
     spec = PRESETS["rd-n2p2"].with_q(5)
     with pytest.raises(VerificationError,
                        match="^family L-value at n=10 disagrees with direct assembly$"):
-        hecke_L0_family(spec, order4_mod5())
+        hecke_L0_family(spec)
     assert main(["lfunc", "--preset", "rd-n2p2", "--q", "5", "--char", "5:4:2=1"]) == EXIT_INTERNAL
     assert capsys.readouterr().err == (
         "internal verification failure: family L-value at n=10 disagrees with direct assembly\n")
