@@ -12,8 +12,6 @@ from .family import (
     fit_oracle,
     get_preset,
     instantiate,
-    k_to_n_form,
-    n_to_k_form,
     norm_invariance_check,
     quasi_poly,
 )

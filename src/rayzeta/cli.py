@@ -33,7 +33,6 @@ from .family import (
     denom_bounds_ok,
     fit_oracle,
     instantiate,
-    k_to_n_form,
     poly_eval,
     quasi_poly,
 )
@@ -408,16 +407,15 @@ def cmd_family(args) -> int:
                     continue
                 qp = quasi_poly(spec, lab, r, rctx)
                 fit = fit_oracle(spec, lab, r, ks, rctx)
-                nform = k_to_n_form(qp)
-                k_coeffs = [qp.coeff(r, i) for i in range(spec.d + 1)]
-                oracle_ok = bool(fit.consistent and fit.coeffs == tuple(k_coeffs))
+                k_coeffs, n_coeffs = list(qp.coeffs[r]), list(qp.n_coeffs(r))
+                oracle_ok = bool(fit.consistent and fit.coeffs == qp.coeffs[r])
                 report["rows"].append({
                     "r": r,
                     "C": lab.C,
                     "D": lab.D,
                     "k_coeffs": k_coeffs,
-                    "n_coeffs": [nform.coeff(r, i) for i in range(spec.d + 1)],
-                    "denominator_bounds_ok": denom_bounds_ok(qp, r),
+                    "n_coeffs": n_coeffs,
+                    "denominator_bounds_ok": denom_bounds_ok(spec.q, k_coeffs, n_coeffs),
                     "oracle_ok": oracle_ok,
                     "used_ks": list(fit.used_ks),
                     "skipped_ks": list(fit.skipped_ks),

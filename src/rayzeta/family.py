@@ -3,11 +3,14 @@
 A family is given by f(x) and the plus-CF terms a_0(x)..a_{s-1}(x) of
 delta(n) - 1.  Per residue r = n mod q the partial zeta value at 0 is a
 polynomial in k (n = qk + r); this module computes its coefficients in
-closed form, converts between k-form and n-form, and certifies the closed
-forms against exact interpolation through directly computed zeta values.
+closed form and certifies them against exact interpolation through directly
+computed zeta values.  A quasi-polynomial holds these k-form coefficients;
+its n-form is derived on demand.  `poly_shift` is the one change of
+variables: it takes the a_i to k (n = qk + r) and a k-form to n.
 
 The closed forms need only residue-level data: the index rule
 `contfrac.plus_to_minus` applied to the residues gamma_i of the a_i(r) mod q,
+the k-coefficients A_im of a_i(qk + r)/q,
 and the integer Yamamoto recursion `shintani.yamamoto_numerators` over that
 minus CF, the same recursion `partial_zeta0` sums.  Every coefficient is an
 integer numerator over 12q^2, built with the per-term kernel `term12` at the
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice, zip_longest
-from math import comb
 
 from .contfrac import (
     MAX_PERIOD,
@@ -102,6 +104,15 @@ def poly_mul(p: Poly, p2: Poly) -> Poly:
         for j, b in enumerate(p2):
             out[i + j] += a * b
     return tuple(out)
+
+
+def poly_shift(p: Poly, a, b) -> Poly:
+    """The coefficients of p(a*x + b), by Horner's rule; a and b may be
+    Fractions."""
+    out: Poly = ()
+    for c in reversed(p):
+        out = poly_add(poly_mul(out, (b, a)), (c,))
+    return out
 
 
 def poly_div(p: Poly, d: Poly) -> Poly | None:
@@ -318,21 +329,14 @@ class FieldTable:
 # residue-level coefficients
 
 
-def gamma_tau(spec: FamilySpec, r: int) -> tuple[list[int], list[int]]:
-    """gamma_i(r) in [1, q] and tau_i(r) with a_i(r) = q*tau_i + gamma_i,
-    for i = 0 .. s-1."""
-    values = [poly_eval(a, r) for a in spec.a_polys]
-    gammas = [residue_one(ai, spec.q) for ai in values]
-    return gammas, [(ai - g) // spec.q for ai, g in zip(values, gammas)]
-
-
 class ResidueContext(LabelSpace):
     """The label space of every field K_n of the family with n = r mod q,
     from the residue minus CF and tr, N of delta (`delta_trace_norm`) at r,
-    and the residue data `coeffs_closed` reads: `gammas`, `taus`, segment
-    starts `Gammas`, the residue minus CF.  No field is built: the context
-    checks its two `witnesses`, the first two usable n of its table, and
-    builds neither.  `polys` is `delta_trace_norm(spec)` when the caller
+    and the residue data `coeffs_closed` reads: the terms `shifted` in k,
+    a_i(qk + r) to degree d, `gammas` in [1, q] and `taus` with
+    a_i(r) = q*tau_i + gamma_i, segment starts `Gammas`, the residue minus
+    CF.  No field is built: the context checks its two `witnesses`, the
+    first two usable n of its table, and builds neither.  `polys` is `delta_trace_norm(spec)` when the caller
     already holds it.  Raises HypothesisError when tr and N of delta(n) are
     not in Z[n], when the scan refuses an n before two usable ones (a wrong f,
     a term < 1), or when it holds fewer than two; LimitError past the period
@@ -344,7 +348,10 @@ class ResidueContext(LabelSpace):
         polys = polys or decided_trace_norm(spec)
         self.fields = FieldTable(spec, r)
         self.witnesses = self.fields.first_ns(2)
-        self.gammas, self.taus = gamma_tau(spec, r)
+        self.shifted = [poly_add(poly_shift(a, spec.q, r), (0,) * (spec.d + 1))
+                        for a in spec.a_polys]
+        self.gammas = [residue_one(a[0], spec.q) for a in self.shifted]
+        self.taus = [(a[0] - g) // spec.q for a, g in zip(self.shifted, self.gammas)]
         rcf = PeriodicCF(tuple(self.gammas))
         self.Gammas = s_indices(rcf)
         self.mcf = plus_to_minus(rcf)
@@ -352,12 +359,11 @@ class ResidueContext(LabelSpace):
         super().__init__(spec.q, trace_norm, unit_matrix(self.mcf.runs))
 
 
-def A_im(spec: FamilySpec, i: int, m: int, r: int) -> int:
-    """Coefficient of k^m in a_i(qk+r)/q: sum_{j>=m} alpha_{ij} C(j,m) q^{m-1} r^{j-m}."""
+def A_im(rctx: ResidueContext, i: int, m: int) -> int:
+    """Coefficient of k^m in a_i(qk+r)/q at the residue of `rctx`, m >= 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    a = spec.a_polys[i % spec.s]
-    return sum(a[j] * comb(j, m) * spec.q ** (m - 1) * r ** (j - m) for j in range(m, len(a)))
+    return rctx.shifted[i % len(rctx.shifted)][m] // rctx.q
 
 
 def coeffs_closed(rctx: ResidueContext, label: RayLabel) -> list[Fraction]:
@@ -397,9 +403,9 @@ def coeffs_closed(rctx: ResidueContext, label: RayLabel) -> list[Fraction]:
         cm = 0
         for l in range(1, J + 1):
             x = starts[l]
-            cm += q * A_im(spec, 2 * l, m, r) * (6 * x * x - 6 * x * q + q * q)
+            cm += q * A_im(rctx, 2 * l, m) * (6 * x * x - 6 * x * q + q * q)
         for l in range(J):
-            cm += A_im(spec, 2 * l + 1, m, r) * blocks[l]
+            cm += A_im(rctx, 2 * l + 1, m) * blocks[l]
         out.append(cm)
     return [Fraction(c, 12 * q * q) for c in out]
 
@@ -409,80 +415,39 @@ def coeffs_closed(rctx: ResidueContext, label: RayLabel) -> list[Fraction]:
 
 
 class QuasiPoly:
-    """Exact quasi-polynomial: period q, degree d, coefficients per (residue, power).
+    """Exact quasi-polynomial of period q: at n = qk + r its value is the
+    polynomial with ascending coefficients coeffs[r] at k (the k-form)."""
 
-    In k-form (`form` "k") the value at n = qk + r is sum_i coeffs[(r, i)] * k^i;
-    in n-form ("n") it is sum_i coeffs[(r, i)] * n^i.
-    """
+    __slots__ = ("q", "coeffs")
 
-    __slots__ = ("q", "degree", "form", "coeffs")
-
-    def __init__(self, q: int, degree: int, form: str, coeffs: dict[tuple[int, int], Fraction]):
-        self.q, self.degree, self.form, self.coeffs = q, degree, form, coeffs
+    def __init__(self, q: int, coeffs: dict[int, tuple[Fraction, ...]]):
+        self.q, self.coeffs = q, coeffs
 
     def __eq__(self, other):
         if not isinstance(other, QuasiPoly):
             return NotImplemented
-        return (self.q, self.degree, self.form, self.coeffs) == (
-            other.q, other.degree, other.form, other.coeffs)
-
-    def residues(self) -> list[int]:
-        return sorted({r for (r, _) in self.coeffs})
+        return (self.q, self.coeffs) == (other.q, other.coeffs)
 
     def coeff(self, r: int, i: int) -> Fraction:
-        return self.coeffs.get((r, i), Fraction(0))
+        coeffs = self.coeffs.get(r, ())
+        return coeffs[i] if i < len(coeffs) else Fraction(0)
+
+    def n_coeffs(self, r: int) -> tuple[Fraction, ...]:
+        """The n-form at residue r: coefficients in n of the same values."""
+        return poly_shift(self.coeffs[r], Fraction(1, self.q), Fraction(-r, self.q))
 
     def evaluate(self, n: int) -> Fraction:
         r = n % self.q
-        if r not in self.residues():
+        if r not in self.coeffs:
             raise KeyError(f"no coefficients for residue {r}")
-        t = (n - r) // self.q if self.form == "k" else n
-        return sum(
-            (self.coeff(r, i) * t**i for i in range(self.degree + 1)), Fraction(0)
-        )
+        return poly_eval(self.coeffs[r], n // self.q)
 
 
-def k_to_n_form(p: QuasiPoly) -> QuasiPoly:
-    """Rewrite a k-form quasi-polynomial as an n-form with identical values."""
-    if p.form != "k":
-        raise ValueError("input must be in k-form")
-    d, q = p.degree, p.q
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    for r in p.residues():
-        for j in range(d + 1):
-            c = Fraction(0)
-            for i in range(j, d + 1):
-                c += p.coeff(r, i) * comb(i, j) * (-r) ** (i - j) * Fraction(1, q**i)
-            coeffs[(r, j)] = c
-    return QuasiPoly(q, d, "n", coeffs)
-
-
-def n_to_k_form(p: QuasiPoly) -> QuasiPoly:
-    """Inverse of k_to_n_form."""
-    if p.form != "n":
-        raise ValueError("input must be in n-form")
-    d, q = p.degree, p.q
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    for r in p.residues():
-        for m in range(d + 1):
-            a = Fraction(0)
-            for i in range(m, d + 1):
-                a += p.coeff(r, i) * comb(i, m) * q**m * r ** (i - m)
-            coeffs[(r, m)] = a
-    return QuasiPoly(q, d, "k", coeffs)
-
-
-def denom_bounds_ok(qp: QuasiPoly, r: int) -> bool:
-    """12 q^2 B^i integral in k-form; 12 q^{i+2} A_i integral in n-form."""
-    q = qp.q
-    for i in range(qp.degree + 1):
-        if (12 * q * q * qp.coeff(r, i)).denominator != 1:
-            return False
-    nform = k_to_n_form(qp)
-    for i in range(qp.degree + 1):
-        if (12 * q ** (i + 2) * nform.coeff(r, i)).denominator != 1:
-            return False
-    return True
+def denom_bounds_ok(q: int, k_coeffs, n_coeffs) -> bool:
+    """12 q^2 B^i integral for the k-form B^i; 12 q^{i+2} A_i integral for
+    the n-form A_i."""
+    return all((12 * q * q * c).denominator == 1 for c in k_coeffs) and all(
+        (12 * q ** (i + 2) * c).denominator == 1 for i, c in enumerate(n_coeffs))
 
 
 def norm_invariance_check(spec: FamilySpec, label: RayLabel, r: int) -> bool:
@@ -512,8 +477,7 @@ def quasi_poly(
     """
     rctx = rctx or ResidueContext(spec, r)
     parts = [coeffs_closed(rctx, member) for member in rctx.orbit_of(label)]
-    coeffs = [sum(column, Fraction(0)) for column in zip(*parts)]
-    poly = QuasiPoly(spec.q, spec.d, "k", {(r, i): c for i, c in enumerate(coeffs)})
+    poly = QuasiPoly(spec.q, {r: tuple(sum(column, Fraction(0)) for column in zip(*parts))})
     for inst in map(rctx.fields.field, rctx.witnesses):
         direct = partial_zeta0(inst.ctx, label)
         got = poly.evaluate(inst.n)

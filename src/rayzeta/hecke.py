@@ -5,9 +5,11 @@ The exact part of L(0, chi) does not depend on chi: it is the sum Z_a of
 the partial zeta values over the ray classes of norm a mod q, so
 L(0, chi) = sum_a chi(a) * Z_a.  A field's Z_a are a plain dict a -> Z_a,
 and a family's are one quasi-polynomial per a; the character enters only in
-`DirichletChar.approx`, a complex rendering for display.  Orbit
-representatives come from the `orbit_of` memo of a field's or a residue's
-`shintani.LabelSpace`, so the sums walk no cycle again.
+`DirichletChar.approx`, a complex rendering for display.  A field's sum
+takes one orbit representative per orbit, from the `orbit_of` memo of its
+`shintani.LabelSpace`.  A family's sum needs no orbits: the orbits partition
+F_delta and the unit has norm 1, so Z_a is the sum of `coeffs_closed` over
+the labels of norm a, label by label.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from .exactmath import Record, residue_zero
 from .family import (
@@ -22,8 +25,8 @@ from .family import (
     QuasiPoly,
     ResidueContext,
     VerificationError,
+    coeffs_closed,
     decided_trace_norm,
-    quasi_poly,
 )
 from .shintani import ConeContext, LabelSpace, RayLabel, f_delta, partial_zeta0
 
@@ -131,28 +134,25 @@ def hecke_L0(ctx: ConeContext) -> dict[int, Fraction]:
 
 def hecke_L0_family(spec: FamilySpec) -> dict[int, QuasiPoly]:
     """Per norm residue a, the k-form quasi-polynomial of the family's Z_a,
-    with every (r, i) coefficient present.
+    with every residue's d + 1 coefficients present.
 
-    The representatives, their norms and the fields come from each residue's
-    `ResidueContext`; every residue is verified exactly against `hecke_L0`
-    on its first witness field.
+    Each residue's `ResidueContext` adds the closed-form contribution of
+    every label of F_delta into the sum of its norm class; every residue is
+    verified exactly against `hecke_L0` on both of its witness fields.
     """
     polys = decided_trace_norm(spec)
-    keys = [(r, i) for r in range(spec.q) for i in range(spec.d + 1)]
+    zero = (Fraction(0),) * (spec.d + 1)
     sums: dict[int, QuasiPoly] = {}
     for r in range(spec.q):
         rctx = ResidueContext(spec, r, polys)
-        witness = rctx.fields.field(rctx.witnesses[0])
-        for rep in orbit_representatives(rctx):
-            qp = quasi_poly(spec, rep, r, rctx)
-            a = rctx.norm_of(rep)
-            if a not in sums:
-                sums[a] = QuasiPoly(spec.q, spec.d, "k", dict.fromkeys(keys, Fraction(0)))
-            for i in range(spec.d + 1):
-                sums[a].coeffs[r, i] += qp.coeff(r, i)
-        values = {a: qp.evaluate(witness.n) for a, qp in sums.items()}
-        if {a: v for a, v in values.items() if v} != hecke_L0(witness.ctx):
-            raise VerificationError(
-                f"family L-value at n={witness.n} disagrees with direct assembly"
-            )
+        for label in f_delta(rctx):
+            qp = sums.setdefault(rctx.norm_of(label),
+                                 QuasiPoly(spec.q, dict.fromkeys(range(spec.q), zero)))
+            qp.coeffs[r] = tuple(map(add, qp.coeffs[r], coeffs_closed(rctx, label)))
+        for witness in map(rctx.fields.field, rctx.witnesses):
+            values = {a: qp.evaluate(witness.n) for a, qp in sums.items()}
+            if {a: v for a, v in values.items() if v} != hecke_L0(witness.ctx):
+                raise VerificationError(
+                    f"family L-value at n={witness.n} disagrees with direct assembly"
+                )
     return dict(sorted(sums.items()))

@@ -29,9 +29,9 @@ from .family import (
     first_instances,
     fit_oracle,
     instantiate,
-    k_to_n_form,
-    n_to_k_form,
     norm_invariance_check,
+    poly_eval,
+    poly_shift,
     quasi_poly,
 )
 from .hecke import hecke_L0, hecke_L0_family, orbit_representatives
@@ -187,33 +187,32 @@ def check_denominator_bounds(qs=(2, 3, 5)) -> int:
     """12 q^2 B^i and 12 q^{i+2} A_i are integers for all computed coefficients."""
     checked = 0
     for name, q, r, lab, qp in _closed_forms(tuple(qs), 6):
-        if not denom_bounds_ok(qp, r):
+        if not denom_bounds_ok(q, qp.coeffs[r], qp.n_coeffs(r)):
             raise Mismatch(f"{name} q={q} r={r} ({lab.C},{lab.D})")
         checked += 1
     return checked
 
 
 def check_form_round_trip(count: int = 100, seed: int = 20260826) -> int:
-    """k-form <-> n-form conversions agree pointwise and invert each other."""
+    """The n-form of a random k-form quasi-polynomial agrees with it
+    pointwise, and `poly_shift` by (q, r) takes it back to the k-form."""
     rng = random.Random(seed)
     checked = 0
     for _ in range(count):
         q = rng.randint(2, 7)
         degree = rng.randint(0, 3)
         coeffs = {
-            (r, i): Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+            r: tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                     for _ in range(degree + 1))
             for r in range(q)
-            for i in range(degree + 1)
         }
-        p = QuasiPoly(q, degree, "k", coeffs)
-        nform = k_to_n_form(p)
-        back = n_to_k_form(nform)
+        p = QuasiPoly(q, coeffs)
         for n in range(4 * q):
-            if p.evaluate(n) != nform.evaluate(n):
+            if p.evaluate(n) != poly_eval(p.n_coeffs(n % q), n):
                 raise Mismatch(f"pointwise mismatch at n={n}")
-        for key, c in coeffs.items():
-            if back.coeff(*key) != c:
-                raise Mismatch(f"round trip broke at {key}")
+        for r, c in coeffs.items():
+            if poly_shift(p.n_coeffs(r), q, r) != c:
+                raise Mismatch(f"round trip broke at r={r}")
         checked += 1
     return checked
 
@@ -236,16 +235,15 @@ def check_l_assembly() -> int:
 
     spec = PRESETS["rd-n2p2"].with_q(5)
     sums = hecke_L0_family(spec)
-    nforms = {a: k_to_n_form(qp) for a, qp in sums.items()}
     for r in range(5):
         for inst in first_instances(spec, r, spec.d + 2):
             values = {a: qp.evaluate(inst.n) for a, qp in sums.items()}
             if {a: v for a, v in values.items() if v} != hecke_L0(inst.ctx):
                 raise Mismatch(f"L-value mismatch at n={inst.n}")
             checked += 1
-        for a, nform in nforms.items():
-            for i in range(spec.d + 1):
-                if (12 * 5 ** (i + 2) * nform.coeff(r, i)).denominator != 1:
+        for a, qp in sums.items():
+            for i, c in enumerate(qp.n_coeffs(r)):
+                if (12 * 5 ** (i + 2) * c).denominator != 1:
                     raise Mismatch(f"denominator bound broken at r={r} chi^{a}")
                 checked += 1
     return checked

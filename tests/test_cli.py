@@ -201,6 +201,11 @@ PINNED_REPORTS = {
         "587a488037960d2917632197fbb80fca1e16e2c7a8f894f330895cce6a13bc57",
     "zeta --preset quartic-16n4 --q 7 --n 300":
         "0e266f10f77f61c1a34ecddb2c015c4832cfbe2ffbf2c4de755fc5d33c31d0e1",
+    # degree 2 at q = 5: k^2 terms in every n-form and norm-class sum
+    "lfunc --preset quartic-16n4 --q 5":
+        "dcb1faa4ff4eec17bf2b9a063ac56b4d8cff4d6f6d5c6cc0f7c72001da9b79dc",
+    "family --preset quartic-16n4 --q 5 --format csv":
+        "78138272fbaf132ae7376037436ae23b37a91e946a963798ad1afa756af281fa",
 }
 
 
@@ -521,8 +526,15 @@ def test_undecided_family_with_a_label_keeps_its_failure_rows(capsys):
     assert json.loads(out)["failures"] == [{"r": r, "error": UNDECIDED} for r in range(3)]
 
 
-@pytest.mark.parametrize("command", ["lfunc --preset rd-n2p2 --q 11",
-                                     "family --preset quartic-16n4 --q 7"])
+# the contexts whose unit acts in each command: lfunc sums a residue's
+# closed forms label by label, so it walks no residue orbit
+ACTING_CONTEXTS = {
+    "lfunc --preset rd-n2p2 --q 11": {shintani.ConeContext},
+    "family --preset quartic-16n4 --q 7": {shintani.ConeContext, family.ResidueContext},
+}
+
+
+@pytest.mark.parametrize("command", list(ACTING_CONTEXTS))
 def test_no_context_acts_on_a_label_twice(capsys, monkeypatch, command):
     # each command walks each unit cycle once per context, field or residue,
     # so a context makes at most |F_delta| unit actions
@@ -535,7 +547,7 @@ def test_no_context_acts_on_a_label_twice(capsys, monkeypatch, command):
         monkeypatch.setattr(cls, "act", counted)
     code, _ = run(capsys, command.split())
     assert code == EXIT_OK
-    assert {type(ctx) for ctx, _ in acts} == {shintani.ConeContext, family.ResidueContext}
+    assert {type(ctx) for ctx, _ in acts} == ACTING_CONTEXTS[command]
     assert max(acts.values()) == 1
     for ctx, count in Counter(ctx for ctx, _ in acts).items():
         assert count <= len(shintani.f_delta(ctx))

@@ -26,17 +26,15 @@ from rayzeta.family import (
     delta_trace_norm,
     first_instances,
     fit_oracle,
-    gamma_tau,
     get_preset,
     instantiate,
-    k_to_n_form,
     lagrange_fit,
-    n_to_k_form,
     norm_invariance_check,
     poly_add,
     poly_div,
     poly_eval,
     poly_mul,
+    poly_shift,
     quasi_poly,
 )
 from rayzeta.quadfield import mult_matrix, norm, trace, unit_index_lambda
@@ -99,7 +97,8 @@ def test_sample_ks_respects_range_and_squarefreeness():
 def test_gamma_tau_reconstructs_terms():
     spec = PRESETS["quartic-16n4"].with_q(3)
     for r in range(3):
-        gammas, taus = gamma_tau(spec, r)
+        rctx = ResidueContext(spec, r)
+        gammas, taus = rctx.gammas, rctx.taus
         for i, a in enumerate(spec.a_polys):
             assert poly_eval(a, r) == 3 * taus[i] + gammas[i]
             assert 1 <= gammas[i] <= 3
@@ -134,7 +133,7 @@ def test_residue_data_equals_yamamoto_xy(name):
     for q in range(2, 12):
         spec = PRESETS[name].with_q(q)
         for r in range(q):
-            rcf = PeriodicCF(tuple(gamma_tau(spec, r)[0]))
+            rcf = PeriodicCF(tuple((poly_eval(a, r) - 1) % q + 1 for a in spec.a_polys))
             mcf = plus_to_minus(rcf)
             assert mcf == minus_cf(cf_value(rcf) + 1)
             Gammas = s_indices(rcf)
@@ -157,15 +156,18 @@ def test_residue_data_equals_yamamoto_xy(name):
 
 def test_A_im_linear_family():
     # a_0(n) = 2n: a_0(qk+r)/q = 2k + 2r/q, so A_{0,1} = 2
-    spec = PRESETS["rd-n2p2"].with_q(2)
-    assert A_im(spec, 0, 1, 1) == 2
-    assert A_im(spec, 1, 1, 1) == 1
+    rctx = ResidueContext(PRESETS["rd-n2p2"].with_q(2), 1)
+    assert A_im(rctx, 0, 1) == 2
+    assert A_im(rctx, 1, 1) == 1
     # a_0(n) = 8n^2 + 8n + 2 at q = 3: a_0(3k+r)/3 = 24k^2 + (16r + 8)k + ...
     quartic = PRESETS["quartic-16n4"].with_q(3)
     for r in range(3):
-        assert A_im(quartic, 0, 1, r) == 16 * r + 8
-        assert A_im(quartic, 0, 2, r) == 24
-        assert type(A_im(quartic, 0, 2, r)) is int
+        rctx = ResidueContext(quartic, r)
+        assert A_im(rctx, 0, 1) == 16 * r + 8
+        assert A_im(rctx, 0, 2) == 24
+        assert type(A_im(rctx, 0, 2)) is int
+        # a_1(n) = 2n + 1 has no k^2 term
+        assert A_im(rctx, 1, 2) == 0
 
 
 def test_coeffs_closed_sum_matches_direct_value():
@@ -211,25 +213,44 @@ def test_quasi_poly_evaluates_to_direct_zeta():
 
 
 def test_k_n_form_round_trip_and_pointwise():
-    coeffs = {
-        (r, i): Fraction(3 * r - 2 * i + 1, i + 2) for r in range(3) for i in range(3)
-    }
-    p = QuasiPoly(3, 2, "k", coeffs)
-    nform = k_to_n_form(p)
-    assert nform.form == "n"
+    coeffs = {r: tuple(Fraction(3 * r - 2 * i + 1, i + 2) for i in range(3)) for r in range(3)}
+    p = QuasiPoly(3, coeffs)
     for n in range(12):
-        assert p.evaluate(n) == nform.evaluate(n)
-    back = n_to_k_form(nform)
-    for key, c in coeffs.items():
-        assert back.coeff(*key) == c
+        assert p.evaluate(n) == poly_eval(p.n_coeffs(n % 3), n)
+    for r, c in coeffs.items():
+        assert poly_shift(p.n_coeffs(r), 3, r) == c
+        assert all(type(x) is Fraction for x in p.n_coeffs(r))
 
 
-def test_form_conversion_rejects_wrong_form():
-    p = QuasiPoly(2, 1, "k", {(0, 0): Fraction(1), (1, 0): Fraction(1)})
-    with pytest.raises(ValueError):
-        n_to_k_form(p)
-    with pytest.raises(ValueError):
-        k_to_n_form(k_to_n_form(p))
+def test_quasi_poly_evaluate_names_a_missing_residue():
+    p = QuasiPoly(3, {0: (Fraction(1),)})
+    assert p.evaluate(6) == 1 and p.coeff(0, 1) == 0 and p.coeff(1, 0) == 0
+    with pytest.raises(KeyError, match="no coefficients for residue 1"):
+        p.evaluate(7)
+
+
+int_polys = st.lists(st.integers(-50, 50), max_size=5).map(tuple)
+fractions = st.fractions(max_denominator=20).filter(lambda x: abs(x) < 50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(int_polys, st.lists(fractions, max_size=5).map(tuple)),
+       st.one_of(st.integers(-9, 9), fractions), st.one_of(st.integers(-9, 9), fractions),
+       st.lists(st.one_of(st.integers(-20, 20), fractions), min_size=1, max_size=4))
+def test_poly_shift_equals_direct_evaluation(p, a, b, xs):
+    shifted = poly_shift(p, a, b)
+    assert len(shifted) == len(p)
+    for x in xs:
+        assert poly_eval(shifted, x) == poly_eval(p, a * x + b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(fractions, min_size=1, max_size=5).map(tuple), st.integers(2, 13), st.data())
+def test_poly_shift_to_k_and_back_is_the_identity(p, q, data):
+    # n = qk + r takes an n-form to k; k = n/q - r/q takes it back
+    r = data.draw(st.integers(0, q - 1))
+    assert poly_shift(poly_shift(p, q, r), Fraction(1, q), Fraction(-r, q)) == p
+    assert poly_shift(poly_shift(p, Fraction(1, q), Fraction(-r, q)), q, r) == p
 
 
 def test_norm_invariance_on_presets():

@@ -7,7 +7,15 @@ import pytest
 
 from rayzeta import hecke
 from rayzeta.cli import EXIT_INTERNAL, main
-from rayzeta.family import PRESETS, VerificationError, first_instances, instantiate
+from rayzeta.family import (
+    PRESETS,
+    HypothesisError,
+    ResidueContext,
+    VerificationError,
+    first_instances,
+    instantiate,
+    quasi_poly,
+)
 from rayzeta.hecke import (
     CharacterError,
     DirichletChar,
@@ -122,9 +130,63 @@ def test_hecke_family_symbols_are_unit_residues():
     sums = hecke_L0_family(spec)
     assert set(sums) <= {1, 2, 3, 4}
     assert any(qp.coeff(1, i) for qp in sums.values() for i in range(spec.d + 1))
-    for qp in sums.values():  # k-form, with every (r, i) coefficient present
-        assert (qp.q, qp.degree, qp.form) == (5, spec.d, "k")
-        assert set(qp.coeffs) == {(r, i) for r in range(5) for i in range(spec.d + 1)}
+    for qp in sums.values():  # k-form, with every residue's d + 1 coefficients present
+        assert qp.q == 5
+        assert set(qp.coeffs) == set(range(5))
+        assert all(type(c) is tuple and len(c) == spec.d + 1 for c in qp.coeffs.values())
+
+
+def per_representative(spec):
+    """Z_a as the sum over one orbit representative per orbit of its
+    `quasi_poly`, the route that sums each orbit member's closed form by
+    orbits first."""
+    sums = {}
+    for r in range(spec.q):
+        rctx = ResidueContext(spec, r)
+        for rep in orbit_representatives(rctx):
+            coeffs = sums.setdefault(rctx.norm_of(rep), {})
+            qp = quasi_poly(spec, rep, r, rctx)
+            coeffs[r] = [c + qp.coeff(r, i) for i, c in
+                         enumerate(coeffs.get(r, [Fraction(0)] * (spec.d + 1)))]
+    return sums
+
+
+@pytest.mark.parametrize("name, count", [("quartic-16n4", 32), ("rd-n2p2", 35)])
+def test_hecke_family_equals_the_sum_over_orbit_representatives(name, count):
+    # count: the norm classes over q = 2..11
+    classes = 0
+    for q in range(2, 12):
+        spec = PRESETS[name].with_q(q)
+        try:
+            want = per_representative(spec)
+        except HypothesisError as e:  # q = 9: residue 4 holds no field
+            with pytest.raises(HypothesisError, match=f"^{e}$"):
+                hecke_L0_family(spec)
+            continue
+        got = hecke_L0_family(spec)
+        assert set(got) == set(want)
+        for a, qp in got.items():
+            for r in range(q):
+                assert list(qp.coeffs[r]) == want[a].get(r, [0] * (spec.d + 1))
+            classes += 1
+    assert classes == count
+
+
+def test_hecke_family_checks_the_second_witness(monkeypatch, capsys):
+    # 1/(12q^2) more in the k^1 coefficient of label (1, 0) at r = 1 leaves
+    # the first witness n = 1 (k = 0) exact, so only the second, n = 6, sees it
+    closed = hecke.coeffs_closed
+
+    def mutant(rctx, label):
+        out = closed(rctx, label)
+        if rctx.r == 1 and (label.C, label.D) == (1, 0):
+            out[1] += Fraction(1, 12 * rctx.q ** 2)
+        return out
+
+    monkeypatch.setattr(hecke, "coeffs_closed", mutant)
+    assert main(["lfunc", "--preset", "rd-n2p2", "--q", "5"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == (
+        "internal verification failure: family L-value at n=6 disagrees with direct assembly\n")
 
 
 def test_hecke_family_mismatch_is_a_verification_error(monkeypatch, capsys):
