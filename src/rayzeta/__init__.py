@@ -2,7 +2,7 @@
 quadratic fields via cone decomposition, with quasi-polynomial analysis over
 polynomial families and Hecke L-value assembly."""
 
-from .contfrac import MinusCF, PeriodicCF, cf_value, minus_cf, plus_cf, plus_to_minus
+from .contfrac import MinusCF, PeriodicCF, cf_value, minus_cf, plus_to_minus
 from .family import (
     FamilySpec,
     FieldInstance,
@@ -20,11 +20,8 @@ from .quadfield import (
     ModuleBasis,
     QuadElem,
     QuadField,
-    conj,
     coords_in_basis,
     fundamental_unit_totally_positive,
-    is_totally_positive,
-    norm,
     unit_index_lambda,
 )
 from .shintani import (
@@ -34,7 +31,6 @@ from .shintani import (
     f_delta,
     orbit,
     partial_zeta0,
-    xy_direct,
     yamamoto_xy,
 )
 

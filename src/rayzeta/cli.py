@@ -10,7 +10,6 @@ resource limit, 3 hypothesis violation, 4 internal verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -289,6 +288,8 @@ def render_json(report: dict) -> str:
 
 def render_csv(report: dict) -> str:
     """Flatten report["rows"] to CSV; nested values become compact JSON."""
+    import csv  # only CSV reports load it
+
     rows = report.get("rows", [])
     buf = io.StringIO()
     if not rows:
@@ -463,39 +464,9 @@ def cmd_lfunc(args) -> int:
 
 def cmd_verify(args) -> int:
     # Imported here so that the other subcommands never load the suite.
-    from .verify import CRITERIA, check_params, run_criterion
+    from .verify import cmd_verify
 
-    names = sorted(CRITERIA)
-    if args.criterion is not None:
-        names = [c.strip() for c in args.criterion.split(",")]
-        unknown = [c for c in names if c not in CRITERIA]
-        if unknown:
-            raise ConfigError(f"unknown criteria {unknown}; available: {sorted(CRITERIA)}")
-    overrides = {}
-    if args.q is not None:
-        if args.q < 2:
-            raise ConfigError("q must be >= 2")
-        overrides["qs"] = (args.q,)
-    if args.n_max is not None:
-        if args.n_max < 1:
-            raise ConfigError("n-max must be >= 1")
-        overrides["n_max"] = args.n_max
-    taken = set().union(*(check_params(name) for name in names))
-    unused = [flag for key, flag in (("qs", "--q"), ("n_max", "--n-max"))
-              if key in overrides and key not in taken]
-    if unused:
-        raise ConfigError(
-            f"{', '.join(unused)}: taken by none of the selected criteria "
-            f"({', '.join(names)})"
-        )
-    rows = [run_criterion(name, **overrides) for name in names]
-    report = {
-        "command": "verify",
-        "rows": rows,
-        "passed": all(row["passed"] for row in rows),
-    }
-    emit(report, args)
-    return EXIT_OK if report["passed"] else EXIT_INTERNAL
+    return cmd_verify(args)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ grows with n, while the number of runs does not.  A field's minus CF is read
 off its plus period by the index rule `plus_to_minus` in O(s), not O(m); the
 m-term tuple is built only where a caller asks for `MinusCF.terms`.  The
 ceiling algorithm `minus_cf` runs one term at a time and is the oracle the
-index rule is checked against.
+index rule is checked against.  The plus CF by floors, `plus_cf`, is an
+oracle for `cf_value` and is in `rayzeta.oracle`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .exactmath import LimitError, Record
-from .quadfield import QuadElem, QuadField, norm, squarefree_part, trace
+from .quadfield import QuadElem, QuadField, squarefree_part
 
 
 MAX_PERIOD = 10**6  # default bound on a period's number of terms
@@ -93,33 +94,6 @@ class MinusCF(Record):
         for b, k in self.runs:
             terms += [b] * k
         return tuple(terms)
-
-
-def _is_plus_reduced(x: QuadElem) -> bool:
-    """x > 1 > 0 > x' > -1: x > x', 0 and 1 between them, -1 below both."""
-    tr, nm = trace(x), norm(x)
-    return x.b > 0 and nm < 0 and 1 - tr + nm < 0 < 1 + tr + nm
-
-
-def plus_cf(x: QuadElem, max_period: int = MAX_PERIOD) -> PeriodicCF:
-    """Purely periodic plus CF of a reduced quadratic irrational.
-
-    Rejects rational input and surds whose expansion has a preperiod.
-    """
-    if x.is_rational:
-        raise NotReducedError("rational numbers have no purely periodic expansion")
-    if not _is_plus_reduced(x):
-        raise NotReducedError("x must satisfy x > 1 and -1/x' > 1")
-    start = (x.a, x.b)
-    terms = []
-    cur = x
-    for _ in range(max_period):
-        a = cur.floor()
-        terms.append(a)
-        cur = (cur - a).inverse()
-        if (cur.a, cur.b) == start:
-            return PeriodicCF(tuple(terms))
-    raise LimitError(f"plus CF period not found within {max_period} terms")
 
 
 def _surd_state(x: QuadElem) -> tuple[int, int, int]:

@@ -7,8 +7,8 @@ coordinate is X/q with X in [1, q], so each series term is an integer
 numerator over the fixed denominator 12q^2 (`term12`), and a sum becomes
 a `Fraction` only once, at the end.  `term12` is the one per-term kernel;
 `shintani.progression_sum` sums a whole run of 2s in the minus CF with it.
-`bernoulli1` and `bernoulli2` are the `Fraction` forms that the tests check
-`term12` against.
+The `Fraction` forms `bernoulli1` and `bernoulli2`, which the tests check
+`term12` against, are in `rayzeta.oracle`.
 
 `Record` is the base of the package's immutable value types.
 """
@@ -47,16 +47,6 @@ class Record(tuple):
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self))
         return f"{type(self).__name__}({fields})"
-
-
-def bernoulli1(x: Fraction) -> Fraction:
-    """First Bernoulli polynomial B1(x) = x - 1/2."""
-    return x - Fraction(1, 2)
-
-
-def bernoulli2(x: Fraction) -> Fraction:
-    """Second Bernoulli polynomial B2(x) = x^2 - x + 1/6."""
-    return x * x - x + Fraction(1, 6)
 
 
 def frac_unit(x: Fraction) -> Fraction:

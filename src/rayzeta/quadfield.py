@@ -4,7 +4,8 @@ Elements are pairs of Fractions (a, b) representing a + b*sqrt(Delta).
 Signs are decided exactly from T = tr x, N = N x and the sign of b, never
 with floating point: x > x' iff b > 0, and t lies between x and x' iff
 t^2 - Tt + N < 0.  `QuadElem.sign` (a^2 against Delta*b^2), `<` and `>`
-serve the oracles.
+serve the oracles; `conj`, `norm`, `trace`, `is_totally_positive` and
+`mult_matrix` (the oracle for `unit_matrix`) are in `rayzeta.oracle`.
 
 Squarefree certification (`is_squarefree`, `squarefree_part`) is trial
 division by p up to min(n^(1/3), bound): a cofactor below p^3 with no prime
@@ -216,27 +217,6 @@ class QuadElem:
         return f"({self.a}+{self.b}*sqrt({self.field.Delta}))"
 
 
-def conj(x: QuadElem) -> QuadElem:
-    """Galois conjugate: a + b*sqrt(D) -> a - b*sqrt(D)."""
-    return QuadElem(x.a, -x.b, x.field)
-
-
-def norm(x: QuadElem) -> Fraction:
-    """Field norm x * conj(x) = a^2 - Delta*b^2."""
-    return x.a * x.a - x.field.Delta * x.b * x.b
-
-
-def trace(x: QuadElem) -> Fraction:
-    return 2 * x.a
-
-
-def is_totally_positive(x: QuadElem) -> bool:
-    """True iff both real embeddings of x are positive."""
-    if x.a == 0 and x.b == 0:
-        raise ValueError("total positivity is undefined for zero")
-    return norm(x) > 0 and trace(x) > 0  # x, x' of one sign, and their sum positive
-
-
 class ModuleBasis:
     """The Z-module [1, delta]; delta must be reduced: delta > 1, 0 < delta' < 1,
     decided from `trace_norm` = (tr delta, N delta), which the caller holds
@@ -294,13 +274,6 @@ def fundamental_unit_totally_positive(basis: ModuleBasis, matrix: Matrix) -> Qua
     if a * d - b * c != 1 or a + d <= 2 or c <= 0:
         raise UnitSearchError("unit recurrence returned a non-unit; field data malformed")
     return QuadElem(a + c * basis.delta.a, c * basis.delta.b, basis.delta.field)
-
-
-def mult_matrix(x: QuadElem, basis: ModuleBasis):
-    """2x2 matrix of multiplication by x on the basis [1, delta] (column
-    action), on Fractions: the oracle for `unit_matrix`."""
-    (a, c), (b, d) = coords_in_basis(x, basis), coords_in_basis(x * basis.delta, basis)
-    return (a, b), (c, d)
 
 
 def unit_index_lambda(matrix: Matrix, q: int) -> int:

@@ -1,6 +1,8 @@
 """Cone decomposition for a single real quadratic field: ray-class labels,
-the unit action and its orbits, boundary lattice points, the Yamamoto
-fractional-coordinate recursion, and exact partial zeta values at s = 0.
+the unit action and its orbits, the Yamamoto fractional-coordinate
+recursion, and exact partial zeta values at s = 0.  The boundary lattice
+points and the direct lattice solve that the recursion is checked against
+(`boundary_points`, `xy_direct`) are in `rayzeta.oracle`.
 
 zeta(0) depends only on the ray class, so a field (`ConeContext`) and a
 residue r mod q (`family.ResidueContext`) share one label space,
@@ -207,18 +209,6 @@ def orbit(label: RayLabel, ctx: LabelSpace) -> list[RayLabel]:
     return members
 
 
-def boundary_points(basis: ModuleBasis, mcf: MinusCF, count: int) -> list[QuadElem]:
-    """P_{-1}, P_0, ..., P_count via P_{i+1} = b_i P_i - P_{i-1}, b periodic.
-
-    Index shift: returned[i] is P_{i-1}.
-    """
-    terms, m = mcf.terms, mcf.m
-    pts = [basis.delta, basis.delta.field.elem(1)]
-    for i in range(count):
-        pts.append(terms[i % m] * pts[-1] - pts[-2])
-    return pts
-
-
 class XYSeq(Record):
     """Fractional coordinates xs = (x_i) in (0,1], ys = (y_i) in [0,1) for
     i = 0..count."""
@@ -240,30 +230,6 @@ def yamamoto_xy(label: RayLabel, mcf: MinusCF, count: int) -> XYSeq:
         xs.append(x_next)
         ys.append(1 - x_prev)
     return XYSeq(tuple(xs), tuple(ys))
-
-
-def xy_direct(
-    label: RayLabel, i: int, boundary: list[QuadElem], basis: ModuleBasis
-) -> tuple[Fraction, Fraction]:
-    """The unique (x, y) in (0,1] x [0,1) with x*P_{i-1} + y*P_i congruent to
-    (C + D*delta)/q modulo [1, delta].
-
-    Solves the unimodular 2x2 system directly; independent oracle for the
-    Yamamoto recursion.
-    """
-    p_prev, p_cur = boundary[i], boundary[i + 1]  # P_{i-1}, P_i
-    u1, v1 = coords_in_basis(p_prev, basis)
-    u2, v2 = coords_in_basis(p_cur, basis)
-    det = u1 * v2 - u2 * v1
-    if abs(det) != 1:
-        raise InternalCheckError("consecutive boundary points are not unimodular")
-    t0, t1 = Fraction(label.C, label.q), Fraction(label.D, label.q)
-    # invert [[u1,u2],[v1,v2]] exactly
-    x = (v2 * t0 - u2 * t1) / det
-    y = (-v1 * t0 + u1 * t1) / det
-    x = frac_unit(x)
-    y = y - (y.numerator // y.denominator)
-    return x, y
 
 
 def yamamoto_numerators(label: RayLabel, mcf: MinusCF, count: int) -> list[int]:

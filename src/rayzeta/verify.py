@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .cli import EXIT_HYPOTHESIS, main
+from .cli import EXIT_HYPOTHESIS, EXIT_INTERNAL, EXIT_OK, ConfigError, emit, main
 from .contfrac import minus_cf
 from .exactmath import residue_zero
 from .family import (
@@ -35,16 +35,15 @@ from .family import (
     quasi_poly,
 )
 from .hecke import hecke_L0, hecke_L0_family, orbit_representatives
-from .quadfield import mult_matrix, unit_index_lambda
+from .oracle import boundary_points, mult_matrix, xy_direct
+from .quadfield import unit_index_lambda
 from .shintani import (
     LabelSpace,
     RayLabel,
-    boundary_points,
     eps_act,
     f_delta,
     orbit,
     partial_zeta0,
-    xy_direct,
     yamamoto_xy,
 )
 
@@ -316,3 +315,39 @@ def run_criterion(name: str, **overrides) -> dict:
         seconds=round(time.perf_counter() - start, 3),
     )
     return result
+
+
+def cmd_verify(args) -> int:
+    """`rayzeta verify`: run the selected criteria with the overrides from
+    --q and --n-max, and emit one row per criterion."""
+    names = sorted(CRITERIA)
+    if args.criterion is not None:
+        names = [c.strip() for c in args.criterion.split(",")]
+        unknown = [c for c in names if c not in CRITERIA]
+        if unknown:
+            raise ConfigError(f"unknown criteria {unknown}; available: {sorted(CRITERIA)}")
+    overrides = {}
+    if args.q is not None:
+        if args.q < 2:
+            raise ConfigError("q must be >= 2")
+        overrides["qs"] = (args.q,)
+    if args.n_max is not None:
+        if args.n_max < 1:
+            raise ConfigError("n-max must be >= 1")
+        overrides["n_max"] = args.n_max
+    taken = set().union(*(check_params(name) for name in names))
+    unused = [flag for key, flag in (("qs", "--q"), ("n_max", "--n-max"))
+              if key in overrides and key not in taken]
+    if unused:
+        raise ConfigError(
+            f"{', '.join(unused)}: taken by none of the selected criteria "
+            f"({', '.join(names)})"
+        )
+    rows = [run_criterion(name, **overrides) for name in names]
+    report = {
+        "command": "verify",
+        "rows": rows,
+        "passed": all(row["passed"] for row in rows),
+    }
+    emit(report, args)
+    return EXIT_OK if report["passed"] else EXIT_INTERNAL

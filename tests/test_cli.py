@@ -572,7 +572,8 @@ def hook(event, args):
 
 sys.addaudithook(hook)
 import rayzeta, rayzeta.cli
-print(sorted({"dataclasses", "inspect", "rayzeta.verify"} & sys.modules.keys()))
+print(sorted({"csv", "dataclasses", "inspect", "rayzeta.oracle", "rayzeta.verify"}
+             & sys.modules.keys()))
 print(sorted(generated))
 """
 
@@ -584,6 +585,30 @@ def test_import_generates_no_code_and_leaves_verify_unloaded():
     out = subprocess.run([sys.executable, "-I", "-B", "-c", IMPORT_PROBE, src],
                          capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n[]\n"
+
+
+COMMAND_PROBE = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from rayzeta.cli import main
+code = main(sys.argv[2:] + ["--out", os.devnull])
+print(code, sorted({"csv", "rayzeta.oracle"} & sys.modules.keys()))
+"""
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("zeta --preset rd-n2p2 --q 3 --n 3", []),
+    ("family --preset rd-n2p2 --q 3", []),
+    ("lfunc --preset rd-n2p2 --q 5", []),
+    ("zeta --preset rd-n2p2 --q 3 --n 3 --format csv", ["csv"]),
+    ("verify --criterion A3 --q 2 --n-max 3", ["rayzeta.oracle"]),
+], ids=["zeta", "family", "lfunc", "zeta-csv", "verify"])
+def test_a_command_loads_only_what_it_runs(command, loaded):
+    # the reference layer is verify's alone, and csv only CSV reports load
+    src = str(Path(rayzeta.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", COMMAND_PROBE, src, *command.split()],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == f"0 {loaded}\n"
 
 
 def test_zeta_on_a_non_integral_delta_is_hypothesis_error(capsys):
@@ -729,7 +754,7 @@ def test_lambda_and_label_norms_take_the_integer_route(capsys, monkeypatch):
     # residue or cone, reads lambda or a label norm off Fraction arithmetic
     from collections import Counter
 
-    from rayzeta import contfrac, quadfield
+    from rayzeta import contfrac, oracle, quadfield
 
     calls = Counter()
 
@@ -741,7 +766,7 @@ def test_lambda_and_label_norms_take_the_integer_route(capsys, monkeypatch):
 
     modules = [m for k, m in sys.modules.items() if k.startswith("rayzeta")]
     for name in ("mult_matrix", "norm"):
-        original = getattr(quadfield, name)
+        original = getattr(oracle, name)
         for module in modules:  # every binding, as bench/spans.py patches
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted(name, original))

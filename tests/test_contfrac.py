@@ -12,19 +12,17 @@ from rayzeta.contfrac import (
     cf_value,
     minus_cf,
     pair_count,
-    plus_cf,
     plus_to_minus,
     primitive_period,
     s_indices,
 )
 from rayzeta.exactmath import LimitError
 from rayzeta.family import PRESETS, checked_terms, poly_eval
+from rayzeta.oracle import norm, plus_cf, trace
 from rayzeta.quadfield import (
     ModuleBasis,
     QuadField,
     fundamental_unit_totally_positive,
-    norm,
-    trace,
     unit_matrix,
 )
 

@@ -7,14 +7,13 @@ import pytest
 from rayzeta.contfrac import MinusCF
 from rayzeta.exactmath import (
     Record,
-    bernoulli1,
-    bernoulli2,
     frac_unit,
     residue_one,
     residue_zero,
     term12,
 )
 from rayzeta.family import get_preset
+from rayzeta.oracle import bernoulli1, bernoulli2
 from rayzeta.quadfield import QuadField
 from rayzeta.shintani import LabelError, RayLabel
 

@@ -37,7 +37,8 @@ from rayzeta.family import (
     poly_shift,
     quasi_poly,
 )
-from rayzeta.quadfield import mult_matrix, norm, trace, unit_index_lambda
+from rayzeta.oracle import mult_matrix, norm, trace
+from rayzeta.quadfield import unit_index_lambda
 from rayzeta.shintani import (
     RayLabel,
     eps_act,
@@ -230,7 +231,9 @@ def test_quasi_poly_evaluate_names_a_missing_residue():
 
 
 int_polys = st.lists(st.integers(-50, 50), max_size=5).map(tuple)
-fractions = st.fractions(max_denominator=20).filter(lambda x: abs(x) < 50)
+# |x| < 50 with denominator <= 20, drawn by bounds rather than a filter
+fractions = st.fractions(min_value=Fraction(-999, 20), max_value=Fraction(999, 20),
+                         max_denominator=20)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,22 +8,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rayzeta import contfrac
-from rayzeta.contfrac import PeriodicCF, _is_plus_reduced, cf_value, minus_cf
+from rayzeta.contfrac import PeriodicCF, cf_value, minus_cf
 from rayzeta.exactmath import LimitError
+from rayzeta.oracle import _is_plus_reduced, conj, is_totally_positive, mult_matrix, norm, trace
 from rayzeta.quadfield import (
     ModuleBasis,
     QuadField,
     UnitSearchError,
-    conj,
     coords_in_basis,
     fundamental_unit_totally_positive,
     is_perfect_square,
     is_squarefree,
-    is_totally_positive,
-    mult_matrix,
-    norm,
     squarefree_part,
-    trace,
     unit_index_lambda,
     unit_matrix,
 )

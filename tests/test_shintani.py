@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rayzeta.contfrac import MinusCF, PeriodicCF, cf_value, plus_to_minus
-from rayzeta.exactmath import bernoulli1, bernoulli2, frac_unit, residue_one, term12
+from rayzeta.exactmath import frac_unit, residue_one, term12
 from rayzeta.family import PRESETS, NonSquarefreeSkip, get_preset, instantiate, poly_eval
 from rayzeta import shintani
+from rayzeta.oracle import bernoulli1, bernoulli2, boundary_points, xy_direct
 from rayzeta.quadfield import QuadField, coords_in_basis
 from rayzeta.shintani import (
     ConeContext,
     InternalCheckError,
     LabelError,
     RayLabel,
-    boundary_points,
     eps_act,
     f_delta,
     _series12,
@@ -24,7 +24,6 @@ from rayzeta.shintani import (
     partial_zeta0,
     progression_sum,
     series_steps,
-    xy_direct,
     yamamoto_numerators,
     yamamoto_xy,
 )
