@@ -1,5 +1,5 @@
-"""Exact rational helpers: Bernoulli values, fractional parts, residues,
-and the integer series kernel.
+"""Exact rational helpers: fractional parts in (0, 1], residues in [1, q]
+and the integer series kernel.  A residue in [0, q - 1] is Python's `%`.
 
 All arithmetic is exact rational; no floats appear anywhere in a
 computational path.  The zeta series runs on integers: every Yamamoto
@@ -58,13 +58,6 @@ def frac_unit(x: Fraction) -> Fraction:
     x = Fraction(x)
     f = x - (x.numerator // x.denominator)
     return Fraction(1) if f == 0 else f
-
-
-def residue_zero(a: int, q: int) -> int:
-    """Representative of a mod q in [0, q-1]."""
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    return a % q
 
 
 def residue_one(a: int, q: int) -> int:

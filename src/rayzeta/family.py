@@ -6,7 +6,8 @@ polynomial in k (n = qk + r); this module computes its coefficients in
 closed form and certifies them against exact interpolation through directly
 computed zeta values.  A quasi-polynomial holds these k-form coefficients;
 its n-form is derived on demand.  `poly_shift` is the one change of
-variables: it takes the a_i to k (n = qk + r) and a k-form to n.
+variables: it takes the a_i to k (n = qk + r) and a k-form to n.  The
+interpolation oracle, `lagrange_fit`, runs on the same `poly_*` kernels.
 
 The closed forms need only residue-level data: the index rule
 `contfrac.plus_to_minus` applied to the residues gamma_i of the a_i(r) mod q,
@@ -336,11 +337,11 @@ class ResidueContext(LabelSpace):
     a_i(qk + r) to degree d, `gammas` in [1, q] and `taus` with
     a_i(r) = q*tau_i + gamma_i, segment starts `Gammas`, the residue minus
     CF.  No field is built: the context checks its two `witnesses`, the
-    first two usable n of its table, and builds neither.  `polys` is `delta_trace_norm(spec)` when the caller
-    already holds it.  Raises HypothesisError when tr and N of delta(n) are
-    not in Z[n], when the scan refuses an n before two usable ones (a wrong f,
-    a term < 1), or when it holds fewer than two; LimitError past the period
-    limit.
+    first two usable n of its table, and builds neither.  `polys` is
+    `delta_trace_norm(spec)` when the caller already holds it.  Raises
+    HypothesisError when tr and N of delta(n) are not in Z[n], when the scan
+    refuses an n before two usable ones (a wrong f, a term < 1), or when it
+    holds fewer than two; LimitError past the period limit.
     """
 
     def __init__(self, spec: FamilySpec, r: int, polys=None):
@@ -498,24 +499,15 @@ class FitResult(Record):
 
 def lagrange_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:
     """Exact interpolating polynomial (ascending coefficients) through points."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
+    coeffs: tuple = ()
     for j, (xj, yj) in enumerate(points):
-        # basis polynomial prod_{i != j} (x - x_i) / (x_j - x_i)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
+        # basis polynomial prod_{i != j} (x - x_i), over prod_{i != j} (x_j - x_i)
+        basis, denom = (1,), 1
         for i, (xi, _) in enumerate(points):
-            if i == j:
-                continue
-            denom *= xj - xi
-            new = [Fraction(0)] * (len(basis) + 1)
-            for p, c in enumerate(basis):
-                new[p] += -xi * c
-                new[p + 1] += c
-            basis = new
-        scale = yj / denom
-        for p, c in enumerate(basis):
-            coeffs[p] += scale * c
+            if i != j:
+                basis, denom = poly_mul(basis, (-xi, 1)), denom * (xj - xi)
+        coeffs = poly_add(coeffs, basis, Fraction(yj, denom))
+    coeffs = list(coeffs)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
@@ -539,10 +531,7 @@ def fit_oracle(
         )
     points = [(k, partial_zeta0(fields[k].ctx, label)) for k in usable]
     fit = lagrange_fit(points[: d + 1])
-    consistent = all(
-        sum((c * k**p for p, c in enumerate(fit)), Fraction(0)) == v
-        for k, v in points[d + 1 :]
-    )
+    consistent = all(poly_eval(fit, k) == v for k, v in points[d + 1 :])
     fit += [Fraction(0)] * (d + 1 - len(fit))
     skipped = tuple(k for k in fields if not fields[k])
     return FitResult(tuple(fit), consistent, tuple(usable), skipped)

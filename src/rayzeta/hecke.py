@@ -5,11 +5,12 @@ The exact part of L(0, chi) does not depend on chi: it is the sum Z_a of
 the partial zeta values over the ray classes of norm a mod q, so
 L(0, chi) = sum_a chi(a) * Z_a.  A field's Z_a are a plain dict a -> Z_a,
 and a family's are one quasi-polynomial per a; the character enters only in
-`DirichletChar.approx`, a complex rendering for display.  A field's sum
+`DirichletChar.approx`, a complex rendering for display.  A character is
+built and checked by one walk over its generators.  A field's sum
 takes one orbit representative per orbit, from the `orbit_of` memo of its
 `shintani.LabelSpace`.  A family's sum needs no orbits: the orbits partition
 F_delta and the unit has norm 1, so Z_a is the sum of `coeffs_closed` over
-the labels of norm a, label by label.
+the labels of norm a, added label by label with `poly_add`.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd
-from operator import add
 
-from .exactmath import Record, residue_zero
+from .exactmath import Record
 from .family import (
     FamilySpec,
     QuasiPoly,
@@ -27,6 +27,7 @@ from .family import (
     VerificationError,
     coeffs_closed,
     decided_trace_norm,
+    poly_add,
 )
 from .shintani import ConeContext, LabelSpace, RayLabel, f_delta, partial_zeta0
 
@@ -43,33 +44,17 @@ class DirichletChar(Record):
     _fields = ("modulus", "order", "exps")  # exps: sorted (unit residue, exponent mod order)
 
     @classmethod
-    def from_exponents(cls, q: int, order: int, table: dict[int, int]) -> "DirichletChar":
-        if q < 2 or order < 1:  # every ray modulus is at least 2
-            raise CharacterError(f"modulus must be >= 2 and order >= 1, got {q} and {order}")
-        units = [a for a in range(1, q) if gcd(a, q) == 1]
-        norm_table = {}
-        for a in units:
-            if a not in table:
-                raise CharacterError(f"missing exponent for unit {a}")
-            norm_table[a] = table[a] % order
-        if norm_table[1] != 0:
-            raise CharacterError("chi(1) must be 1")
-        for a in units:
-            for b in units:
-                if (norm_table[a] + norm_table[b]) % order != norm_table[a * b % q]:
-                    raise CharacterError(
-                        f"multiplicativity fails at ({a}, {b}) mod {q}"
-                    )
-        return cls(q, order, tuple(sorted(norm_table.items())))
-
-    @classmethod
     def from_generators(cls, q: int, order: int, gens: dict[int, int]) -> "DirichletChar":
-        """Build the full exponent table from generator -> exponent pairs."""
+        """The exponent table from generator -> exponent pairs, by one walk
+        from 1 that checks chi(a*g) = chi(a)*chi(g) on every edge: a walk that
+        reaches every unit gives a multiplicative chi with chi(1) = 1."""
         if order < 1:
             raise CharacterError("order must be positive")
         for g in gens:
             if gcd(g, q) != 1:
                 raise CharacterError(f"generator {g} is not a unit mod {q}")
+        if q < 2:  # every ray modulus is at least 2
+            raise CharacterError(f"modulus must be >= 2 and order >= 1, got {q} and {order}")
         table = {1: 0}
         frontier = [1]
         while frontier:
@@ -86,19 +71,15 @@ class DirichletChar(Record):
         n_units = sum(1 for a in range(q) if gcd(a, q) == 1)
         if len(table) != n_units:
             raise CharacterError("generators do not generate (Z/q)^*")
-        return cls.from_exponents(q, order, table)
+        return cls(q, order, tuple(sorted(table.items())))
 
     @classmethod
     def trivial(cls, q: int) -> "DirichletChar":
-        table = {a: 0 for a in range(1, q) if gcd(a, q) == 1}
-        return cls.from_exponents(q, 1, table)
+        return cls.from_generators(q, 1, {a: 0 for a in range(1, q) if gcd(a, q) == 1})
 
     def exponent(self, a: int) -> int | None:
         """Exponent e with chi(a) = zeta_order^e, or None when chi(a) = 0."""
-        a = residue_zero(a, self.modulus)
-        if gcd(a, self.modulus) != 1:
-            return None
-        return dict(self.exps)[a]
+        return dict(self.exps).get(a % self.modulus)
 
     def approx(self, sums: dict[int, Fraction]) -> complex:
         """Approximate sum_a chi(a) * sums[a], added in ascending a; rendering
@@ -148,7 +129,7 @@ def hecke_L0_family(spec: FamilySpec) -> dict[int, QuasiPoly]:
         for label in f_delta(rctx):
             qp = sums.setdefault(rctx.norm_of(label),
                                  QuasiPoly(spec.q, dict.fromkeys(range(spec.q), zero)))
-            qp.coeffs[r] = tuple(map(add, qp.coeffs[r], coeffs_closed(rctx, label)))
+            qp.coeffs[r] = poly_add(qp.coeffs[r], coeffs_closed(rctx, label))
         for witness in map(rctx.fields.field, rctx.witnesses):
             values = {a: qp.evaluate(witness.n) for a, qp in sums.items()}
             if {a: v for a, v in values.items() if v} != hecke_L0(witness.ctx):

@@ -36,7 +36,7 @@ from .contfrac import (
     plus_to_minus,
     primitive_period,
 )
-from .exactmath import LimitError, Record, frac_unit, residue_one, residue_zero, term12
+from .exactmath import LimitError, Record, frac_unit, residue_one, term12
 from .quadfield import (
     Matrix,
     ModuleBasis,
@@ -189,7 +189,7 @@ def eps_act(eps: QuadElem, label: RayLabel, basis: ModuleBasis) -> RayLabel:
     u, v = coords_in_basis((C + D * basis.delta) * eps, basis)
     if u.denominator != 1 or v.denominator != 1:
         raise LabelError("unit does not stabilize [1, delta]")
-    return RayLabel(residue_zero(int(u), q), residue_zero(int(v), q), q)
+    return RayLabel(int(u) % q, int(v) % q, q)
 
 
 def orbit(label: RayLabel, ctx: LabelSpace) -> list[RayLabel]:

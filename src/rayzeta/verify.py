@@ -17,7 +17,6 @@ from functools import lru_cache, partial
 
 from .cli import EXIT_HYPOTHESIS, EXIT_INTERNAL, EXIT_OK, ConfigError, emit, main
 from .contfrac import minus_cf
-from .exactmath import residue_zero
 from .family import (
     PRESETS,
     FamilySpec,
@@ -131,7 +130,7 @@ def check_orbit_recursions(n_max: int = 12, qs=(2, 3, 5)) -> int:
                 _, _, action = STRUCTURE[name](n)
                 for lab in f_delta(ctx):
                     img = eps_act(ctx.eps, lab, ctx.basis)
-                    step = tuple(residue_zero(u * lab.C + v * lab.D, q) for u, v in action)
+                    step = tuple((u * lab.C + v * lab.D) % q for u, v in action)
                     if (img.C, img.D) != step or LabelSpace.act(ctx, lab) != img:
                         raise Mismatch(f"{name} q={q} n={n} label ({lab.C},{lab.D})")
                     orb = orbit(lab, ctx)
@@ -241,10 +240,9 @@ def check_l_assembly() -> int:
                 raise Mismatch(f"L-value mismatch at n={inst.n}")
             checked += 1
         for a, qp in sums.items():
-            for i, c in enumerate(qp.n_coeffs(r)):
-                if (12 * 5 ** (i + 2) * c).denominator != 1:
-                    raise Mismatch(f"denominator bound broken at r={r} chi^{a}")
-                checked += 1
+            if not denom_bounds_ok(5, (), qp.n_coeffs(r)):
+                raise Mismatch(f"denominator bound broken at r={r} chi^{a}")
+            checked += spec.d + 1
     return checked
 
 

@@ -9,7 +9,6 @@ from rayzeta.exactmath import (
     Record,
     frac_unit,
     residue_one,
-    residue_zero,
     term12,
 )
 from rayzeta.family import get_preset
@@ -50,14 +49,6 @@ def test_frac_unit_examples():
     assert frac_unit(Fraction(-1, 3)) == Fraction(2, 3)
 
 
-def test_residue_zero_range_and_congruence():
-    for a in range(-20, 21):
-        for q in (2, 3, 5, 7):
-            r = residue_zero(a, q)
-            assert 0 <= r < q
-            assert (a - r) % q == 0
-
-
 def test_residue_one_range_and_congruence():
     for a in range(-20, 21):
         for q in (2, 3, 5, 7):
@@ -82,7 +73,7 @@ def test_kernel_matches_bernoulli_expansion():
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_residue_conventions_agree_on_units(q):
     for a in range(1, q):
-        assert residue_zero(a, q) == residue_one(a, q) == a
+        assert a % q == residue_one(a, q) == a
 
 
 def test_records_are_immutable_values():

@@ -320,6 +320,41 @@ def test_lagrange_fit_recovers_polynomial():
     assert fit == [Fraction(1, 7), Fraction(-5), Fraction(2, 3)]
 
 
+def reference_lagrange_fit(points):
+    """The Lagrange fit written out on Fraction lists, term by term: the
+    reference that `lagrange_fit` on the `poly_*` kernels must equal."""
+    n = len(points)
+    coeffs = [Fraction(0)] * n
+    for j, (xj, yj) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for i, (xi, _) in enumerate(points):
+            if i == j:
+                continue
+            denom *= xj - xi
+            new = [Fraction(0)] * (len(basis) + 1)
+            for p, c in enumerate(basis):
+                new[p] += -xi * c
+                new[p + 1] += c
+            basis = new
+        scale = yj / denom
+        for p, c in enumerate(basis):
+            coeffs[p] += scale * c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-20, 20), fractions), max_size=6,
+                unique_by=lambda point: point[0]))
+@example([(0, Fraction(3)), (2, Fraction(3)), (5, Fraction(3))])  # a constant: trailing zeros
+def test_lagrange_fit_equals_the_reference(points):
+    fit = lagrange_fit(points)
+    assert fit == reference_lagrange_fit(points)
+    assert all(type(c) is Fraction for c in fit)
+
+
 def test_fit_oracle_requires_enough_samples():
     spec = PRESETS["rd-n2p2"].with_q(2)
     with pytest.raises(HypothesisError):

@@ -2,8 +2,10 @@
 
 import cmath
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rayzeta import hecke
 from rayzeta.cli import EXIT_INTERNAL, main
@@ -47,11 +49,26 @@ def test_from_generators_order4():
     assert chi.exponent(5) is None
 
 
-def test_multiplicativity_validation():
-    with pytest.raises(CharacterError):
-        DirichletChar.from_exponents(5, 4, {1: 0, 2: 1, 3: 1, 4: 2})
-    with pytest.raises(CharacterError):
-        DirichletChar.from_exponents(5, 4, {1: 1, 2: 1, 3: 3, 4: 2})
+def test_inconsistent_generator_map_is_refused():
+    # 3 = 2^3 mod 5, so chi(2) = i forces chi(3) = i^3 = -i, not i
+    with pytest.raises(CharacterError, match="^generator exponents are inconsistent$"):
+        DirichletChar.from_generators(5, 4, {2: 1, 3: 1})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 12),
+       st.dictionaries(st.integers(-80, 80), st.integers(-30, 30), max_size=3))
+def test_from_generators_builds_a_character_or_refuses(q, order, gens):
+    try:
+        chi = DirichletChar.from_generators(q, order, gens)
+    except CharacterError:
+        return
+    units = [a for a in range(1, q) if gcd(a, q) == 1]
+    table = dict(chi.exps)
+    assert sorted(table) == units and table[1] == 0
+    for a in units:
+        for b in units:
+            assert table[a * b % q] == (table[a] + table[b]) % order
 
 
 def test_from_generators_requires_generating_set():
@@ -63,11 +80,9 @@ def test_modulus_below_two_is_a_character_error():
     for q in (1, 0, -3):
         message = f"^modulus must be >= 2 and order >= 1, got {q} and 1$"
         with pytest.raises(CharacterError, match=message):
-            DirichletChar.from_exponents(q, 1, {0: 0, 1: 0})
+            DirichletChar.from_generators(q, 1, {})
         with pytest.raises(CharacterError, match=message):
             DirichletChar.trivial(q)
-    with pytest.raises(CharacterError, match="^modulus must be >= 2 and order >= 1, got 1 and 1$"):
-        DirichletChar.from_generators(1, 1, {})
 
 
 def test_approx_of_trivial_sum():
