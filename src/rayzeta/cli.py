@@ -376,20 +376,13 @@ def cmd_zeta(args) -> int:
     return EXIT_OK
 
 
-def cmd_family(args) -> int:
-    """Closed form and oracle per (residue, label).  A refusal, met by the
-    residue's context or by its oracle, is the same for every label of the
-    residue (a refused n, too few usable n), so it is one failure row for
-    the residue.  The exit code is the gravest seen, 4 (an oracle mismatch)
-    over 3 (a refusal)."""
-    spec = family_from_args(args)
-    ks = parse_k_range(args.k_range) if args.k_range is not None else range(0, 7)
-    want = parse_label(args.label, spec.q) if args.label is not None else None
-    polys = delta_trace_norm(spec)  # None: each residue reports the family undecided
-    if want is not None and polys and all(
-            gcd(norm_form(want.C, want.D, *(poly_eval(p, r) for p in polys)), spec.q) > 1
-            for r in range(spec.q)):
-        raise ConfigError(f"label {args.label} is not in F_delta at any residue")
+def family_report(spec: FamilySpec, ks: range, want: RayLabel | None, polys) -> tuple[dict, int]:
+    """The `family` report and its exit code: closed form and oracle per
+    (residue, label), or only for `want`.  A refusal, met by the residue's
+    context or by its oracle, is the same for every label of the residue (a
+    refused n, too few usable n), so it is one failure row for the residue.
+    The exit code is the gravest seen, 4 (an oracle mismatch) over 3 (a
+    refusal).  `polys` is `delta_trace_norm(spec)`."""
     report = {
         "command": "family",
         "family": spec.name,
@@ -407,7 +400,7 @@ def cmd_family(args) -> int:
                 if want is not None and lab != want:
                     continue
                 qp = quasi_poly(spec, lab, r, rctx)
-                fit = fit_oracle(spec, lab, r, ks, rctx)
+                fit = fit_oracle(rctx, lab, ks)
                 k_coeffs, n_coeffs = list(qp.coeffs[r]), list(qp.n_coeffs(r))
                 oracle_ok = bool(fit.consistent and fit.coeffs == qp.coeffs[r])
                 report["rows"].append({
@@ -426,6 +419,21 @@ def cmd_family(args) -> int:
         except HypothesisError as e:
             report["failures"].append({"r": r, "error": str(e)})
             exit_code = max(exit_code, EXIT_HYPOTHESIS)
+    return report, exit_code
+
+
+def cmd_family(args) -> int:
+    """`family_report` for the flags, after refusing a --label that lies in
+    F_delta at no residue."""
+    spec = family_from_args(args)
+    ks = parse_k_range(args.k_range) if args.k_range is not None else range(0, 7)
+    want = parse_label(args.label, spec.q) if args.label is not None else None
+    polys = delta_trace_norm(spec)  # None: each residue reports the family undecided
+    if want is not None and polys and all(
+            gcd(norm_form(want.C, want.D, *(poly_eval(p, r) for p in polys)), spec.q) > 1
+            for r in range(spec.q)):
+        raise ConfigError(f"label {args.label} is not in F_delta at any residue")
+    report, exit_code = family_report(spec, ks, want, polys)
     emit(report, args)
     return exit_code
 

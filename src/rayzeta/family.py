@@ -178,19 +178,11 @@ def get_preset(name: str, q: int | None = None) -> FamilySpec:
 
 
 class FieldInstance(Record):
-    """One member of the family: `spec`, `n`, the plus CF `cf` of delta(n) - 1
-    and the cone context `ctx`, ready."""
+    """One member of the family: `n` and the cone context `ctx` of K_n,
+    ready."""
 
     __slots__ = ()
-    _fields = ("spec", "n", "cf", "ctx")
-
-    @property
-    def r(self) -> int:
-        return self.n % self.spec.q
-
-    @property
-    def k(self) -> int:
-        return self.n // self.spec.q
+    _fields = ("n", "ctx")
 
 
 def delta_trace_norm(spec: FamilySpec) -> tuple[Poly, Poly] | None:
@@ -265,8 +257,7 @@ def instantiate(spec: FamilySpec, n: int, checked=None) -> FieldInstance:
     a size limit (`checked_terms`, `ConeContext`).
     """
     fn, terms = checked or checked_terms(spec, n)
-    cf = PeriodicCF(terms)
-    return FieldInstance(spec, n, cf, ConeContext(cf, fn, spec.q))  # fn: the certified radicand
+    return FieldInstance(n, ConeContext(PeriodicCF(terms), fn, spec.q))  # fn: the certified radicand
 
 
 SCAN = 128  # a residue's n = qk + r are scanned for usable fields over k < SCAN
@@ -513,17 +504,14 @@ def lagrange_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:
     return coeffs
 
 
-def fit_oracle(
-    spec: FamilySpec, label: RayLabel, r: int, k_values, rctx: ResidueContext | None = None
-) -> FitResult:
+def fit_oracle(rctx: ResidueContext, label: RayLabel, k_values) -> FitResult:
     """Independent oracle: exact Lagrange fit of direct zeta values at
     n = qk + r over the usable k, with a consistency flag certifying that
-    the extra points lie on the degree-<=d polynomial.  Each k's field, or
-    its skip, comes from the table of the residue context `rctx`, or from a
-    table of their own."""
+    the extra points lie on the degree-<=d polynomial.  The family, r and
+    each k's field, or its skip, come from the residue context `rctx`."""
+    spec, r = rctx.spec, rctx.r
     d = spec.d
-    table = rctx.fields if rctx else FieldTable(spec, r)
-    fields = {k: table.field(spec.q * k + r) for k in k_values}
+    fields = {k: rctx.fields.field(spec.q * k + r) for k in k_values}
     usable = [k for k in fields if fields[k]]
     if len(usable) < d + 2:
         raise HypothesisError(

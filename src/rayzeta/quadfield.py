@@ -3,9 +3,10 @@
 Elements are pairs of Fractions (a, b) representing a + b*sqrt(Delta).
 Signs are decided exactly from T = tr x, N = N x and the sign of b, never
 with floating point: x > x' iff b > 0, and t lies between x and x' iff
-t^2 - Tt + N < 0.  `QuadElem.sign` (a^2 against Delta*b^2), `<` and `>`
-serve the oracles; `conj`, `norm`, `trace`, `is_totally_positive` and
-`mult_matrix` (the oracle for `unit_matrix`) are in `rayzeta.oracle`.
+t^2 - Tt + N < 0.  `QuadElem.sign` (a^2 against Delta*b^2), and `<` and
+`>` on it, are called from no other module: the tests use them as
+references for these rules.  `conj`, `norm`, `trace`, `is_totally_positive`
+and `mult_matrix` (the oracle for `unit_matrix`) are in `rayzeta.oracle`.
 
 Squarefree certification (`is_squarefree`, `squarefree_part`) is trial
 division by p up to min(n^(1/3), bound): a cofactor below p^3 with no prime

@@ -726,6 +726,49 @@ def test_verify_q_over_all_criteria(capsys):
     assert all(row["passed"] for row in rows)
 
 
+def test_verify_checks_take_only_what_a_flag_sets():
+    params = {name: verify.check_params(name) for name in sorted(verify.CRITERIA)}
+    assert params == {
+        "A1": {"n_max"}, "A2": {"n_max"}, "A3": {"n_max", "qs"}, "A4": {"n_max", "qs"},
+        "A5": {"qs"}, "A6": {"qs"}, "A7": set(), "A8": set(), "A9": set(),
+    }
+
+
+def test_verify_a5_names_the_residue_whose_fit_is_inconsistent(monkeypatch):
+    # A5 reads oracle_ok from the rows `rayzeta family` prints
+    fit_oracle = cli.fit_oracle
+
+    def faulty(rctx, *args):
+        fit = fit_oracle(rctx, *args)
+        return family.FitResult(fit.coeffs, rctx.r != 2, fit.used_ks, fit.skipped_ks)
+
+    monkeypatch.setattr(cli, "fit_oracle", faulty)
+    row = verify.run_criterion("A5", qs=(3,))
+    lab = shintani.f_delta(family.ResidueContext(family.PRESETS["quartic-16n4"].with_q(3), 2))[0]
+    assert (row["passed"], row["detail"]) == (False, f"quartic-16n4 q=3 r=2 ({lab.C},{lab.D})")
+
+
+def test_verify_a6_fails_on_a_broken_denominator_bound(monkeypatch):
+    # A6 reads denominator_bounds_ok from the same rows
+    monkeypatch.setattr(cli, "denom_bounds_ok", lambda q, k_coeffs, n_coeffs: False)
+    row = verify.run_criterion("A6", qs=(2,))
+    lab = shintani.f_delta(family.ResidueContext(family.PRESETS["quartic-16n4"].with_q(2), 0))[0]
+    assert (row["passed"], row["detail"]) == (False, f"quartic-16n4 q=2 r=0 ({lab.C},{lab.D})")
+
+
+def test_verify_a5_and_a6_skip_refused_residues(capsys):
+    # rd-n2p2 at q = 9 refuses residues 4 and 5 (9 | n^2 + 2), which compare
+    # nothing; the other rows are counted as before
+    spec = family.PRESETS["rd-n2p2"].with_q(9)
+    report, _ = cli.family_report(spec, range(7), None, family.delta_trace_norm(spec))
+    assert [failure["r"] for failure in report["failures"]] == [4, 5]
+    code, out = run(capsys, ["verify", "--q", "9", "--criterion", "A5,A6"])
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert [(row["criterion"], row["passed"], row["checked"]) for row in rows] == [
+        ("A5", True, 919), ("A6", True, 918)]
+
+
 def test_zeta_computes_each_orbit_once(capsys, monkeypatch):
     from collections import Counter
 
@@ -905,11 +948,11 @@ def test_an_oracle_mismatch_outranks_a_refusal(capsys, monkeypatch, faults):
     # residue is one failure row, the mismatched one rows with oracle_ok false
     fit_oracle = cli.fit_oracle
 
-    def faulty(spec, label, r, *args):
-        fault = faults[r] if r < len(faults) else None
+    def faulty(rctx, *args):
+        fault = faults[rctx.r] if rctx.r < len(faults) else None
         if fault == "refusal":
             raise family.HypothesisError("refused")
-        fit = fit_oracle(spec, label, r, *args)
+        fit = fit_oracle(rctx, *args)
         return family.FitResult(fit.coeffs, fault is None, fit.used_ks, fit.skipped_ks)
 
     monkeypatch.setattr(cli, "fit_oracle", faulty)

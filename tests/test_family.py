@@ -71,9 +71,9 @@ def test_instantiate_skips_non_squarefree():
 def test_instantiate_builds_expected_field():
     spec = PRESETS["rd-n2p2"]
     inst = instantiate(spec, 1)
-    assert inst.cf.terms == (2, 1)
+    assert inst.ctx.cf.terms == (2, 1)
     assert inst.ctx.basis.delta.field.Delta == 3
-    assert inst.r == 1 and inst.k == 0
+    assert inst.n == 1  # r = 1, k = 0
 
 
 def test_instantiate_reports_a_radicand_that_differs_from_f():
@@ -91,7 +91,7 @@ def test_sample_ks_respects_range_and_squarefreeness():
     assert table0.check(0) is None  # n = 0 is below the valid range
     assert table1.check(5) is None  # n = 5, f = 27 not squarefree
     assert table1.check(1) and table1.check(3)
-    fit = fit_oracle(spec, RayLabel(1, 0, 2), 1, range(4))
+    fit = fit_oracle(ResidueContext(spec, 1), RayLabel(1, 0, 2), range(4))
     assert (fit.used_ks, fit.skipped_ks) == ((0, 1, 3), (2,))
 
 
@@ -180,7 +180,7 @@ def test_coeffs_closed_sum_matches_direct_value():
     for member in orbit(lab, inst.ctx):
         part = coeffs_closed(rctx, member)
         total = [t + p for t, p in zip(total, part)]
-    assert total[0] + total[1] * inst.k == partial_zeta0(inst.ctx, lab)
+    assert total[0] + total[1] * (inst.n // 2) == partial_zeta0(inst.ctx, lab)
 
 
 def test_quasi_poly_known_coefficients():
@@ -195,8 +195,9 @@ def test_quasi_poly_agrees_with_fit_oracle():
     spec = PRESETS["quartic-16n4"].with_q(2)
     lab = RayLabel(0, 1, 2)
     for r in range(2):
-        qp = quasi_poly(spec, lab, r)
-        fit = fit_oracle(spec, lab, r, range(0, spec.d + 6))
+        rctx = ResidueContext(spec, r)
+        qp = quasi_poly(spec, lab, r, rctx)
+        fit = fit_oracle(rctx, lab, range(0, spec.d + 6))
         assert fit.consistent
         assert fit.coeffs == tuple(qp.coeff(r, i) for i in range(spec.d + 1))
 
@@ -356,9 +357,9 @@ def test_lagrange_fit_equals_the_reference(points):
 
 
 def test_fit_oracle_requires_enough_samples():
-    spec = PRESETS["rd-n2p2"].with_q(2)
+    rctx = ResidueContext(PRESETS["rd-n2p2"].with_q(2), 1)
     with pytest.raises(HypothesisError):
-        fit_oracle(spec, RayLabel(1, 0, 2), 1, [0, 1])
+        fit_oracle(rctx, RayLabel(1, 0, 2), [0, 1])
 
 
 def test_denominator_bound_on_k_coefficients():
